@@ -25,7 +25,6 @@ from .graph import (
     Cycle,
     MetricGraph,
     Subgraph,
-    dijkstra,
     germ_source,
     germ_target,
     reverse_germ,
@@ -132,10 +131,7 @@ def chords_of_loop(loop: ImmersedLoop) -> list[Chord]:
     table = graph.table
     pi = table.pi()
     starts = loop.branch_visits()
-    trees = {}
-    for vis in starts:
-        if vis.vertex not in trees:
-            trees[vis.vertex] = dijkstra(graph, vis.vertex)
+    trees = {vis.vertex: graph.tree(vis.vertex) for vis in starts}
     out: list[Chord] = []
     for i, a in enumerate(starts):
         for b in starts[i + 1:]:
@@ -177,7 +173,7 @@ def chords_of_subgraph(graph: MetricGraph, sub: Subgraph) -> list[SubgraphChord]
     table = graph.table
     pi = table.pi()
     verts = list(sub.vertices)
-    trees = {v: dijkstra(graph, v) for v in verts}
+    trees = {v: graph.tree(v) for v in verts}
     out: list[SubgraphChord] = []
     for i, x in enumerate(verts):
         for y in verts[i + 1:]:

@@ -6,7 +6,7 @@ within PI, minimum degree two on the studied subgraph) with exact
 witnesses.  Once they hold, every cycle, disjoint cycle pair, bar and
 segment gets an independent certificate; any defect found after a clean
 audit is a contradiction, reported as InternalInconsistency together with
-a fresh audit, never as a silent skip.
+the audit it contradicts, never as a silent skip.
 
 All collections are canonically ordered, so reports are reproducible
 byte for byte.
@@ -288,7 +288,7 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
         chords=tuple(chords),
         chord_ratios=tuple(chord_ratios),
         tiling=tiling,
-        tiling_report=report,
+        tiling_report=report.without_grid(),
         area_checks=tuple(checks),
         budgets=budgets,
     )
@@ -365,7 +365,7 @@ def analyze_cycle_pair(graph: MetricGraph, cycle1: Cycle, cycle2: Cycle) -> Pair
     axis_report = verify_tiling(axis)
     if not axis_report.ok:
         raise InternalInconsistency(f"axis tiling of the pair failed: {axis_report.status}")
-    measure = to_measure_tiling(axis)
+    measure = to_measure_tiling(axis, axis_report)
     verdict = dehn_test(measure)
     if not isinstance(verdict, CommensurableVerdict):
         raise InternalInconsistency(
@@ -378,9 +378,9 @@ def analyze_cycle_pair(graph: MetricGraph, cycle1: Cycle, cycle2: Cycle) -> Pair
         chords=tuple(cross),
         chord_ratios=tuple(ratios),
         product=product,
-        product_report=product_report,
+        product_report=product_report.without_grid(),
         axis=axis,
-        axis_report=axis_report,
+        axis_report=axis_report.without_grid(),
         lift_counts=axis.region.lift_counts,
         measure=measure,
         verdict=verdict,
@@ -461,7 +461,7 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         on2 = ch.s.vertex in bar.cycle2.vertices and ch.t.vertex in bar.cycle1.vertices
         if on1 or on2:
             cross += 1
-    measure = to_measure_tiling(tiling)
+    measure = to_measure_tiling(tiling, report)
     try:
         verdict = dehn_plus_test(
             measure, q=bar.length, r=table.pi(), a=a, designated=tuple(designated)
@@ -488,7 +488,7 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         designated=tuple(designated),
         designated_cross=cross,
         tiling=tiling,
-        tiling_report=report,
+        tiling_report=report.without_grid(),
         measure=measure,
         verdict=verdict,
     )
@@ -721,7 +721,9 @@ def analyze(
     A failed audit short-circuits to a non-conformant report; when some
     cycle length then sits off the PI lattice it is quoted as the
     contrapositive witness.  A defect found after a clean audit comes back
-    as an internal-inconsistency report carrying a fresh audit.
+    as an internal-inconsistency report that repeats the audit under
+    ``re_audit``; the audit is deterministic, so running it again could
+    only reproduce it.
     """
     if sub is None:
         sub = graph.whole()
@@ -758,7 +760,7 @@ def analyze(
                 pair_out.append(analyze_cycle_pair(graph, cycles[i], cycles[j]))
 
         stage, subject = "bars", None
-        bars = bars_of(sub, cap=cycle_cap)
+        bars = bars_of(sub, cycles, cap=cycle_cap)
         bar_out = []
         for b in bars:
             subject = ", ".join(sorted(b.edge_ids))
@@ -776,13 +778,12 @@ def analyze(
                 )
             seg_out.append(SegmentAnalysis(seg, ratio, terms, verified))
     except InternalInconsistency as exc:
-        re_audit = check_hypotheses(graph, sub)
         failure = {
             "kind": "internal-inconsistency",
             "stage": stage,
             "subject": subject,
             "detail": str(exc),
-            "re_audit": re_audit.as_report(graph),
+            "re_audit": audit.as_report(graph),
         }
         return Analysis(
             graph, sub, subgraph_name, audit, False, failure, cycle_cap=cycle_cap, **empty

@@ -73,26 +73,28 @@ class MetricGraph:
     def __init__(self, table: SymbolTable):
         self.table = table
         self.vertices: list[str] = []
-        self._vset: set[str] = set()
+        self._order: dict[str, int] = {}  # vertex -> position in self.vertices
         self.edges: list[Edge] = []
         self.edge_by_id: dict[str, Edge] = {}
         self.subgraph_decls: dict[str, tuple[str, ...]] = {}
         self._germs: dict[str, list[Germ]] = {}
+        self._trees: dict[str, SourceTree] = {}  # memo of tree(); cleared on change
 
     # -- construction -------------------------------------------------------
 
     def add_vertex(self, name: str) -> None:
-        if name in self._vset:
+        if name in self._order:
             raise GraphFormatError(f"duplicate vertex: {name}")
+        self._order[name] = len(self.vertices)
         self.vertices.append(name)
-        self._vset.add(name)
         self._germs[name] = []
+        self._trees.clear()
 
     def add_edge(self, eid: str, u: str, v: str, length: Scalar) -> Edge:
         if eid in self.edge_by_id:
             raise GraphFormatError(f"duplicate edge: {eid}")
         for w in (u, v):
-            if w not in self._vset:
+            if w not in self._order:
                 raise GraphFormatError(f"edge {eid} references unknown vertex {w}")
         sign = self.table.sign(length)
         if sign is Comparison.INDETERMINATE:
@@ -104,6 +106,7 @@ class MetricGraph:
         self.edge_by_id[eid] = edge
         self._germs[u].append((edge, 0))
         self._germs[v].append((edge, 1))
+        self._trees.clear()
         return edge
 
     def declare_subgraph(self, name: str, edge_ids: Sequence[str]) -> None:
@@ -127,7 +130,7 @@ class MetricGraph:
                     seen.add(y)
                     stack.append(y)
         if len(seen) != len(self.vertices):
-            missing = sorted(self._vset - seen)
+            missing = sorted(self._order.keys() - seen)
             raise DisconnectedGraph(f"unreachable vertices: {', '.join(missing)}")
 
     # -- views ---------------------------------------------------------------
@@ -147,7 +150,15 @@ class MetricGraph:
         return Subgraph(self, self.subgraph_decls[name])
 
     def vertex_order(self, name: str) -> int:
-        return self.vertices.index(name)
+        return self._order[name]
+
+    def tree(self, source: str) -> "SourceTree":
+        """Shortest-path tree from source in the whole graph, computed once
+        and shared until the graph next changes; callers must not mutate it."""
+        tree = self._trees.get(source)
+        if tree is None:
+            tree = self._trees[source] = dijkstra(self, source)
+        return tree
 
 
 class Subgraph:
@@ -318,9 +329,9 @@ class PathResult:
 def shortest_path(graph: MetricGraph, u: str, v: str) -> PathResult:
     """Exact distance, one canonical shortest path, and a uniqueness flag."""
     for w in (u, v):
-        if w not in graph._vset:
+        if w not in graph._order:
             raise KeyError(f"unknown vertex {w}")
-    tree = dijkstra(graph, u)
+    tree = graph.tree(u)
     if v not in tree.dist:
         raise DisconnectedGraph(f"{v} unreachable from {u}")
     return PathResult(tree.dist[v], tree.path_to(v), tree.counts[v] == 1)
@@ -454,11 +465,7 @@ def point_diameter_check(graph: MetricGraph, sub: Subgraph, bound: Scalar) -> Di
     edges = sub.edges()
     if not edges:
         return DiameterResult(True, None, None)
-    trees: dict[str, SourceTree] = {}
-    for e in edges:
-        for w in (e.u, e.v):
-            if w not in trees:
-                trees[w] = dijkstra(graph, w)
+    trees = {w: graph.tree(w) for e in edges for w in (e.u, e.v)}
 
     best: Optional[Scalar] = None
     best_pair = None

@@ -16,7 +16,7 @@ in the construction, not bad input, and raises InternalInconsistency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
 from typing import Callable, Optional
 
@@ -309,11 +309,13 @@ def _sorted_breaks(table: SymbolTable, values):
 
 @dataclass
 class _Grid:
+    tiling: GeometricTiling  # the tiling the grid was built from
     u_breaks: list
     v_breaks: list
     boxes: list  # (piece_index, u_runs, v_runs) with runs as index pairs
     counts: list  # coverage per cell, counts[j][k]
     in_region: list  # per v-cell
+    strips: list  # region strips along v, as (lo, hi) scalars
 
 
 def _piece_box(piece):
@@ -446,20 +448,31 @@ def _build_grid(t: GeometricTiling):
         for k in range(v_index[a.key()], v_index[b.key()]):
             in_region[k] = True
 
-    return _Grid(u_breaks, v_breaks, boxes, counts, in_region), back, strips
+    return _Grid(t, u_breaks, v_breaks, boxes, counts, in_region, strips), back
 
 
 @dataclass(frozen=True)
 class TilingReport:
+    """Verdict of verify_tiling.
+
+    An ok report also carries the grid the verification scanned, so that
+    to_measure_tiling can reuse it.  Grids are large, so a report kept
+    beyond that use should be stored through without_grid().
+    """
+
     status: str  # ok | gap | overlap | protrusion | area-mismatch
     witness: Optional[tuple]
     pieces: tuple
     tiled_area: Area
     region_area: Area
+    grid: Optional[_Grid] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    def without_grid(self) -> "TilingReport":
+        return replace(self, grid=None)
 
 
 def _covering_pieces(grid: _Grid, j: int, k: int):
@@ -492,7 +505,7 @@ def verify_tiling(t: GeometricTiling) -> TilingReport:
             )
         return TilingReport("area-mismatch", None, (), tiled, region_area)
 
-    grid, back, _ = _build_grid(t)
+    grid, back = _build_grid(t)
     half = Rat(1, 2)
     for j in range(len(grid.u_breaks) - 1):
         for k in range(len(grid.v_breaks) - 1):
@@ -515,7 +528,7 @@ def verify_tiling(t: GeometricTiling) -> TilingReport:
         raise InternalInconsistency(
             "region covered exactly once yet piece areas disagree with it"
         )
-    return TilingReport("ok", None, (), tiled, region_area)
+    return TilingReport("ok", None, (), tiled, region_area, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +536,13 @@ def verify_tiling(t: GeometricTiling) -> TilingReport:
 # ---------------------------------------------------------------------------
 
 
-def to_measure_tiling(t: GeometricTiling) -> MeasureTiling:
+def to_measure_tiling(
+    t: GeometricTiling, report: Optional[TilingReport] = None
+) -> MeasureTiling:
     """Re-express a verified tiling as a measure-space rectangle tiling.
+
+    report is the one verify_tiling returned for t, grid included, so the
+    grid is built once; without it t is verified here.
 
     Annulus mode: X faces are the grid intervals of the doubled torus and
     Y faces those inside the principal strip; every interval measures half
@@ -535,17 +553,20 @@ def to_measure_tiling(t: GeometricTiling) -> MeasureTiling:
     Torus mode: faces are plain grid intervals with their full lengths and
     every translate is its own measure piece.
     """
-    report = verify_tiling(t)
+    if report is None:
+        report = verify_tiling(t)
     if not report.ok:
         raise ValueError(f"tiling does not verify: {report.status}")
     if isinstance(t.region, ProductRegion):
         raise ValueError("convert a product tiling with the axis transform first")
+    grid = report.grid
+    if grid is None or grid.tiling is not t:
+        raise ValueError("report does not carry the verified grid of this tiling")
     table = t.table
-    grid, _, strips = _build_grid(t)
 
     if isinstance(t.region, AnnulusRegion):
         factor = Rat(1, 2)
-        strip_lo, strip_hi = strips[0]
+        strip_lo, strip_hi = grid.strips[0]
         lo_idx = next(
             i for i, v in enumerate(grid.v_breaks) if v.key() == strip_lo.key()
         )

@@ -1,4 +1,6 @@
+import gc
 import json
+import types
 
 import networkx as nx
 import pytest
@@ -32,6 +34,7 @@ from commensura.graph import (
     segments_of,
 )
 from commensura.scalars import SymbolTable, format_scalar
+from commensura.tilings import _Grid, verify_tiling
 
 
 def pi_times(table, num, den=1):
@@ -540,6 +543,27 @@ def test_analyze_catches_fabricated_defect_and_reaudits(heawood, heawood_analysi
     assert a.failure["stage"] == "cycles"
     assert "gap" in a.failure["detail"]
     assert a.failure["re_audit"]["ok"] is True  # the graph itself is fine
+
+
+def _grids_reachable(root) -> int:
+    """Count tiling grids reachable from root through data references."""
+    seen, stack, found = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found += isinstance(obj, _Grid)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_analysis_keeps_no_tiling_grid(heawood_analysis):
+    a = analyze(build("theta", strands=3, length="PI"))
+    assert a.cycles and _grids_reachable(a) == 0
+    assert _grids_reachable(heawood_analysis) == 0  # pairs and bars too
+    # the walk does find the grid an ok report carries
+    assert _grids_reachable(verify_tiling(a.cycles[0].tiling)) == 1
 
 
 def test_reports_are_byte_identical_across_runs():

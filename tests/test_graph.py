@@ -615,6 +615,41 @@ def test_distance_is_a_metric(edge_list):
                 )
 
 
+@given(random_graph())
+@settings(max_examples=60, deadline=None)
+def test_tree_oracle_matches_fresh_dijkstra(edge_list):
+    g = build(edge_list)
+    # queries that share the memoised trees must leave them untouched
+    for u in g.vertices:
+        for v in g.vertices:
+            shortest_path(g, u, v)
+    point_diameter_check(g, g.whole(), g.table.pi())
+    for v in g.vertices:
+        tree = g.tree(v)
+        assert g.tree(v) is tree
+        fresh = dijkstra(g, v)
+        assert tree.dist == fresh.dist
+        assert tree.pred == fresh.pred
+        assert tree.counts == fresh.counts
+    assert [g.vertex_order(v) for v in g.vertices] == list(range(len(g.vertices)))
+
+
+def test_graph_changes_clear_the_tree_memo():
+    g = build([("a", "x", "y", {0: 4})])
+    table = g.table
+    first = g.tree("x")
+    assert g.tree("x") is first
+    g.add_edge("b", "x", "y", table.rational(1))
+    second = g.tree("x")
+    assert second is not first
+    assert second.dist["y"] == table.rational(1)
+    assert shortest_path(g, "x", "y").edge_ids == ["b"]
+    g.add_vertex("z")
+    assert g.tree("x") is not second
+    g.add_edge("c", "y", "z", table.rational(2))
+    assert g.tree("x").dist["z"] == table.rational(3)
+
+
 @given(random_graph(), st.integers(min_value=1, max_value=7))
 @settings(max_examples=40, deadline=None)
 def test_rescaling_scales_distances_and_girth(edge_list, num):

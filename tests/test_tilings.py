@@ -307,6 +307,30 @@ def test_bridge_refuses_unverified_tilings():
         to_measure_tiling(broken)
 
 
+def test_bridge_takes_only_the_verified_report_of_its_tiling(monkeypatch):
+    import commensura.tilings as tilings_mod
+
+    _, t = octagon_tiling()
+    _, other = octagon_tiling()
+    with pytest.raises(ValueError):
+        to_measure_tiling(t, verify_tiling(other))
+    broken = GeometricTiling(t.table, t.region, t.pieces[1:])
+    with pytest.raises(ValueError):
+        to_measure_tiling(broken, verify_tiling(broken))
+    with pytest.raises(ValueError):
+        to_measure_tiling(t, verify_tiling(t).without_grid())
+
+    builds = []
+    real = tilings_mod._build_grid
+    monkeypatch.setattr(tilings_mod, "_build_grid", lambda tiling: builds.append(tiling) or real(tiling))
+    rep = verify_tiling(t)
+    mt = to_measure_tiling(t, rep)
+    assert builds == [t]  # the verified grid is reused, not rebuilt
+    fresh = to_measure_tiling(t)
+    assert builds == [t, t]  # the one-argument form verifies, once
+    assert (mt.labels, mt.pieces) == (fresh.labels, fresh.pieces)
+
+
 def test_bridge_refuses_raw_product_tilings():
     g, t = k44_product()
     with pytest.raises(ValueError):
