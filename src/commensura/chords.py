@@ -29,7 +29,7 @@ from .graph import (
     germ_target,
     reverse_germ,
 )
-from .scalars import Area, Comparison, Scalar
+from .scalars import Area, Comparison, Scalar, sum_terms
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,8 @@ def chord_budgets(loop: ImmersedLoop, chords: list[Chord]):
     bound = loop.length.scale(Rat(1, 2)) - table.pi()
     rows = []
     for vis in loop.branch_visits():
-        total = table.zero()
-        for ch in chords:
-            if ch.s.index == vis.index:  # mirrors carry the other endpoint
-                total = total + ch.z
+        # mirrors carry the other endpoint
+        total = sum_terms((ch.z for ch in chords if ch.s.index == vis.index), table.zero())
         cmp = table.require(table.compare(total, bound), "chord budget undecidable")
         rows.append((vis, total, bound, cmp is not Comparison.GREATER))
     return rows

@@ -186,18 +186,14 @@ def _plot_value(table, scalar, digits: int) -> str:
 def _plot_rows(table, context: str, tiling, digits: int) -> list[str]:
     rows = []
     for piece in tiling.pieces:
-        shape = getattr(piece, "shape", "square")
         cx, cy = piece.center
-        if hasattr(piece, "half_sum"):
-            hu, hv = piece.half_sum, piece.half_diff
-        else:
-            hu, hv = piece.half_x, piece.half_y
+        hu, hv = piece.halves
         rows.append(
             "\t".join(
                 (
                     context,
                     piece.label,
-                    shape,
+                    piece.shape,
                     _plot_value(table, cx, digits),
                     _plot_value(table, cy, digits),
                     _plot_value(table, hu, digits),
@@ -374,17 +370,12 @@ def _region_dict(region) -> dict:
 def _tiling_payload(tiling, report) -> dict:
     pieces = []
     for piece in tiling.pieces:
-        shape = getattr(piece, "shape", "square")
-        if hasattr(piece, "half_sum"):
-            halves = (piece.half_sum, piece.half_diff)
-        else:
-            halves = (piece.half_x, piece.half_y)
         pieces.append(
             {
                 "label": piece.label,
-                "kind": shape,
+                "kind": piece.shape,
                 "center": [format_scalar(piece.center[0]), format_scalar(piece.center[1])],
-                "halves": [format_scalar(halves[0]), format_scalar(halves[1])],
+                "halves": [format_scalar(h) for h in piece.halves],
             }
         )
     return {

@@ -19,11 +19,13 @@ squares", and re-running the verifier pinpoints which axiom actually broke.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._rat import Rat, as_rat, rat_str
+from ._rat import Rat, as_rat
 from .errors import AuditFailure, GraphFormatError, InternalInconsistency
+from .linalg import solve
 from .scalars import (
     Area,
     Comparison,
@@ -31,8 +33,9 @@ from .scalars import (
     SymbolTable,
     commensurable,
     compare_area,
-    format_scalar,
+    format_compact,
     parse_scalar,
+    sum_terms,
 )
 
 
@@ -54,11 +57,12 @@ class MeasureTiling:
             if table.sign(m) is not Comparison.GREATER:
                 raise ValueError(f"element {name} must have positive measure")
         self.pieces = []
+        nx, ny = len(self.x_names), len(self.y_names)
         for a, b in pieces:
             a, b = frozenset(a), frozenset(b)
             if not a or not b:
                 raise ValueError("piece with empty side")
-            if max(a) >= len(self.x_names) or max(b) >= len(self.y_names):
+            if min(a) < 0 or min(b) < 0 or max(a) >= nx or max(b) >= ny:
                 raise ValueError("piece references unknown element")
             self.pieces.append((a, b))
         self.labels = list(labels) if labels else [f"piece{i}" for i in range(len(self.pieces))]
@@ -66,23 +70,16 @@ class MeasureTiling:
             raise ValueError("one label per piece")
 
     def mu_x(self) -> Scalar:
-        return _total(self.table, self.x_measures)
+        return sum_terms(self.x_measures, self.table.zero())
 
     def mu_y(self) -> Scalar:
-        return _total(self.table, self.y_measures)
+        return sum_terms(self.y_measures, self.table.zero())
 
     def mu_a(self, i: int) -> Scalar:
-        return _total(self.table, [self.x_measures[j] for j in sorted(self.pieces[i][0])])
+        return sum_terms((self.x_measures[j] for j in self.pieces[i][0]), self.table.zero())
 
     def mu_b(self, i: int) -> Scalar:
-        return _total(self.table, [self.y_measures[k] for k in sorted(self.pieces[i][1])])
-
-
-def _total(table: SymbolTable, values) -> Scalar:
-    out = table.zero()
-    for v in values:
-        out = out + v
-    return out
+        return sum_terms((self.y_measures[k] for k in self.pieces[i][1]), self.table.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -157,33 +154,17 @@ def functional_identity(t: MeasureTiling, f: dict[int, Rat]) -> tuple[Rat, Rat]:
 
 
 def solve_functional(equations: list[tuple[Scalar, Rat]]) -> dict[int, Rat]:
-    """Least-support rational solution of f(s_k) = c_k; free variables zero."""
+    """Least-support rational solution of f(s_k) = c_k; free variables zero.
+
+    The unknowns are f at every symbol index the equations mention, and the
+    solution is keyed by those indices.
+    """
     cols = sorted({i for s, _ in equations for i in s.coeffs})
-    rows = [[as_rat(s.coeffs.get(c, 0)) for c in cols] + [as_rat(rhs)] for s, rhs in equations]
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(cols)):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [u - factor * w for u, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for row in rows[r:]:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            raise ValueError("inconsistent functional constraints")
-    sol = {c: Rat(0) for c in cols}
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][-1]
-    return sol
+    columns = [[s.coeffs.get(c, Rat(0)) for s, _ in equations] for c in cols]
+    (x,) = solve(columns, [[as_rat(rhs) for _, rhs in equations]])
+    if x is None:
+        raise ValueError("inconsistent functional constraints")
+    return dict(zip(cols, x))
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +204,14 @@ def _canonical_base(table: SymbolTable, sample: Scalar) -> Scalar:
     denom_lcm = 1
     for _, v in items:
         q = as_rat(v).denominator
-        denom_lcm = denom_lcm * q // _gcd(denom_lcm, q)
+        denom_lcm = denom_lcm * q // math.gcd(denom_lcm, q)
     ints = [(idx, int(as_rat(v) * denom_lcm)) for idx, v in items]
     g = 0
     for _, n in ints:
-        g = _gcd(g, abs(n))
+        g = math.gcd(g, n)
     if ints[0][1] < 0:
         g = -g
     return Scalar(table, {idx: Rat(n, g) for idx, n in ints})
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def dehn_test(t: MeasureTiling):
@@ -348,9 +323,7 @@ def dehn_plus_test(t: MeasureTiling, q: Scalar, r: Scalar, a, designated: Sequen
         if ratio is None:
             raise AuditFailure(4, f"designated piece {i} is not commensurable with r")
         rho[i] = ratio
-    square_sum = Area(table, {})
-    for i in designated:
-        square_sum = square_sum + t.mu_a(i) * t.mu_a(i)
+    square_sum = sum_terms((t.mu_a(i) * t.mu_a(i) for i in designated), Area(table, {}))
     bound = (r * r).scale(a - 4)
     cmp = table.require(
         compare_area(square_sum, bound), "designated square bound undecidable"
@@ -417,17 +390,7 @@ def parse_measure_tiling(text: str, precision_bits: int | None = None) -> Measur
         parts = line.split()
         try:
             if parts[0] == "symbol":
-                if len(parts) == 3 and parts[2] == "pi":
-                    table.declare_pi_symbol(parts[1])
-                elif len(parts) == 5 and parts[3] == "err":
-                    from fractions import Fraction
-
-                    err = parse_scalar(table, parts[4])
-                    table.declare_decimal_symbol(
-                        parts[1], Rat(Fraction(parts[2])), err.coeffs.get(0, Rat(0))
-                    )
-                else:
-                    raise ValueError("bad symbol line")
+                table.declare_line(parts)
             elif parts[0] == "space":
                 if len(parts) < 3 or parts[1] not in ("X", "Y"):
                     raise ValueError("expected 'space X|Y name=<scalar> ...'")
@@ -474,21 +437,12 @@ def parse_measure_tiling(text: str, precision_bits: int | None = None) -> Measur
 
 
 def serialize_measure_tiling(t: MeasureTiling) -> str:
-    lines = []
-    for sym in t.table.user_symbols():
-        if sym.kind == "pi":
-            lines.append(f"symbol {sym.name} pi")
-        elif sym.kind == "decimal":
-            from .graph import _decimal_text
-
-            lines.append(f"symbol {sym.name} {_decimal_text(sym.value)} err {rat_str(sym.radius)}")
-        else:
-            raise ValueError(f"symbol {sym.name} has no text form")
+    lines = t.table.symbol_lines()
     lines.append(
-        "space X " + " ".join(f"{n}={format_scalar(m).replace(' ', '')}" for n, m in zip(t.x_names, t.x_measures))
+        "space X " + " ".join(f"{n}={format_compact(m)}" for n, m in zip(t.x_names, t.x_measures))
     )
     lines.append(
-        "space Y " + " ".join(f"{n}={format_scalar(m).replace(' ', '')}" for n, m in zip(t.y_names, t.y_measures))
+        "space Y " + " ".join(f"{n}={format_compact(m)}" for n, m in zip(t.y_names, t.y_measures))
     )
     for a, b in t.pieces:
         an = ",".join(t.x_names[j] for j in sorted(a))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Rat
+from ._rat import Rat, rat_str
 from .chords import (
     Chord,
     ImmersedLoop,
@@ -53,7 +53,17 @@ from .graph import (
     point_diameter_check,
     segments_of,
 )
-from .scalars import Area, Comparison, Scalar, compare_area, format_scalar, pi_ratio
+from .linalg import solve
+from .scalars import (
+    Area,
+    Comparison,
+    Scalar,
+    compare_area,
+    format_area,
+    format_scalar,
+    pi_ratio,
+    sum_terms,
+)
 from .tilings import (
     GeometricTiling,
     TilingReport,
@@ -65,16 +75,8 @@ from .tilings import (
 )
 
 
-def _lit(s: Scalar) -> str:
-    return format_scalar(s)
-
-
-def _rat_str(r) -> str:
-    return str(r)
-
-
 def _point_report(graph: MetricGraph, p: PointOnGraph) -> dict:
-    return {"edge": p.edge_id, "offset": _lit(p.offset)}
+    return {"edge": p.edge_id, "offset": format_scalar(p.offset)}
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +102,11 @@ class HypothesisAudit:
     def first_defect(self) -> Optional[str]:
         if not self.girth_ok:
             return (
-                f"shortest cycle has length {_lit(self.girth_value)} < 2*PI"
+                f"shortest cycle has length {format_scalar(self.girth_value)} < 2*PI"
                 f" (edges {', '.join(self.girth_witness)})"
             )
         if not self.diameter.ok:
-            return f"two points lie at distance {_lit(self.diameter.max_distance)} > PI"
+            return f"two points lie at distance {format_scalar(self.diameter.max_distance)} > PI"
         if not self.min_degree_ok:
             return f"vertex {self.min_degree_vertex} has degree {self.min_degree} < 2 in the subgraph"
         return None
@@ -112,10 +114,10 @@ class HypothesisAudit:
     def as_report(self, graph: MetricGraph) -> dict:
         diam = {
             "ok": self.diameter.ok,
-            "bound": _lit(self.diameter_bound),
+            "bound": format_scalar(self.diameter_bound),
             "max_distance": None
             if self.diameter.max_distance is None
-            else _lit(self.diameter.max_distance),
+            else format_scalar(self.diameter.max_distance),
             "witness": None
             if self.diameter.witness is None
             else [_point_report(graph, p) for p in self.diameter.witness],
@@ -124,7 +126,7 @@ class HypothesisAudit:
             "ok": self.ok,
             "girth": {
                 "ok": self.girth_ok,
-                "value": None if self.girth_value is None else _lit(self.girth_value),
+                "value": None if self.girth_value is None else format_scalar(self.girth_value),
                 "witness": list(self.girth_witness),
             },
             "point_diameter": diam,
@@ -191,17 +193,17 @@ class CycleAnalysis:
     def as_report(self) -> dict:
         return {
             "edges": [g[0].id for g in self.cycle.steps],
-            "length": _lit(self.cycle.length),
-            "pi_ratio": _rat_str(self.ratio),
+            "length": format_scalar(self.cycle.length),
+            "pi_ratio": rat_str(self.ratio),
             "chords": [
                 {
                     "source": ch.s.vertex,
-                    "source_position": _lit(ch.s.position),
+                    "source_position": format_scalar(ch.s.position),
                     "target": ch.t.vertex,
-                    "target_position": _lit(ch.t.position),
-                    "distance": _lit(ch.distance),
-                    "pi_ratio": _rat_str(r),
-                    "side": _lit(ch.z),
+                    "target_position": format_scalar(ch.t.position),
+                    "distance": format_scalar(ch.distance),
+                    "pi_ratio": rat_str(r),
+                    "side": format_scalar(ch.z),
                 }
                 for ch, r in zip(self.chords, self.chord_ratios)
             ],
@@ -209,9 +211,9 @@ class CycleAnalysis:
             "avoidance_bounds": [
                 {
                     "vertex": c.vertex,
-                    "position": _lit(c.position),
-                    "clear_area": _area_lit(c.total),
-                    "required": _area_lit(c.bound),
+                    "position": format_scalar(c.position),
+                    "clear_area": format_area(c.total),
+                    "required": format_area(c.bound),
                     "ok": c.ok,
                 }
                 for c in self.area_checks
@@ -219,20 +221,14 @@ class CycleAnalysis:
             "start_budgets": [
                 {
                     "vertex": vis.vertex,
-                    "position": _lit(vis.position),
-                    "total": _lit(total),
-                    "bound": _lit(bound),
+                    "position": format_scalar(vis.position),
+                    "total": format_scalar(total),
+                    "bound": format_scalar(bound),
                     "ok": ok,
                 }
                 for (vis, total, bound, ok) in self.budgets
             ],
         }
-
-
-def _area_lit(a: Area) -> str:
-    from .scalars import format_area
-
-    return format_area(a)
 
 
 def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
@@ -241,7 +237,7 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
     ratio = pi_ratio(cycle.length)
     if ratio is None:
         raise InternalInconsistency(
-            f"cycle length {_lit(cycle.length)} is not a rational multiple of PI"
+            f"cycle length {format_scalar(cycle.length)} is not a rational multiple of PI"
         )
     loop = loop_from_cycle(graph, cycle)
     chords = chords_of_loop(loop)
@@ -250,7 +246,7 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
         r = pi_ratio(ch.distance)
         if r is None:
             raise InternalInconsistency(
-                f"chord {ch.s.vertex}-{ch.t.vertex} has length {_lit(ch.distance)},"
+                f"chord {ch.s.vertex}-{ch.t.vertex} has length {format_scalar(ch.distance)},"
                 " not a rational multiple of PI"
             )
         chord_ratios.append(r)
@@ -263,17 +259,17 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
     bound = table.pi(Rat(2)) * (cycle.length - table.pi(Rat(2)))
     checks = []
     for vis in loop.visits:
-        total = table.zero() * table.zero()
-        for ch in chords:
-            if ch.s.index != vis.index and ch.t.index != vis.index:
-                total = total + ch.square_area()
+        total = sum_terms(
+            (ch.square_area() for ch in chords if vis.index not in (ch.s.index, ch.t.index)),
+            table.zero() * table.zero(),
+        )
         cmp = table.require(compare_area(total, bound), "avoidance bound")
         checks.append(AreaCheck(vis.vertex, vis.position, total, bound, cmp is not Comparison.LESS))
     bad = [c for c in checks if not c.ok]
     if bad:
         raise InternalInconsistency(
-            f"chords avoiding {bad[0].vertex} cover only {_area_lit(bad[0].total)}"
-            f" of the required {_area_lit(bad[0].bound)}"
+            f"chords avoiding {bad[0].vertex} cover only {format_area(bad[0].total)}"
+            f" of the required {format_area(bad[0].bound)}"
         )
     budgets = tuple(chord_budgets(loop, chords))
     over = [row for row in budgets if not row[3]]
@@ -321,9 +317,9 @@ class PairAnalysis:
                 {
                     "source": ch.x,
                     "target": ch.y,
-                    "distance": _lit(ch.distance),
-                    "pi_ratio": _rat_str(r),
-                    "side": _lit(ch.z),
+                    "distance": format_scalar(ch.distance),
+                    "pi_ratio": rat_str(r),
+                    "side": format_scalar(ch.z),
                 }
                 for ch, r in zip(self.chords, self.chord_ratios)
             ],
@@ -332,9 +328,9 @@ class PairAnalysis:
             "axis_tiling": self.axis_report.status,
             "dehn": {
                 "verdict": "commensurable",
-                "base": _lit(self.verdict.base),
-                "x_ratios": [_rat_str(r) for r in self.verdict.x_ratios],
-                "y_ratios": [_rat_str(r) for r in self.verdict.y_ratios],
+                "base": format_scalar(self.verdict.base),
+                "x_ratios": [rat_str(r) for r in self.verdict.x_ratios],
+                "y_ratios": [rat_str(r) for r in self.verdict.y_ratios],
             },
         }
 
@@ -351,7 +347,7 @@ def analyze_cycle_pair(graph: MetricGraph, cycle1: Cycle, cycle2: Cycle) -> Pair
         r = pi_ratio(ch.distance)
         if r is None:
             raise InternalInconsistency(
-                f"cross chord {ch.x}-{ch.y} has length {_lit(ch.distance)},"
+                f"cross chord {ch.x}-{ch.y} has length {format_scalar(ch.distance)},"
                 " not a rational multiple of PI"
             )
         ratios.append(r)
@@ -412,12 +408,12 @@ class BarAnalysis:
         return {
             "bar_edges": [g[0].id for g in self.bar.steps],
             "endpoints": list(self.bar.endpoints),
-            "bar_length": _lit(self.bar.length),
-            "pi_ratio": _rat_str(self.ratio),
+            "bar_length": format_scalar(self.bar.length),
+            "pi_ratio": rat_str(self.ratio),
             "cycle1": [g[0].id for g in self.bar.cycle1.steps],
             "cycle2": [g[0].id for g in self.bar.cycle2.steps],
-            "a": _rat_str(self.a),
-            "loop_length": _lit(self.loop.length),
+            "a": rat_str(self.a),
+            "loop_length": format_scalar(self.loop.length),
             "chord_count": len(self.chords),
             "commensurable_chords": commensurable,
             "incommensurable_chords": len(self.chords) - commensurable,
@@ -426,7 +422,7 @@ class BarAnalysis:
             "tiling": self.tiling_report.status,
             "dehn_plus": {
                 "verdict": "qr-commensurable",
-                "ratio": _rat_str(self.verdict.ratio),
+                "ratio": rat_str(self.verdict.ratio),
             },
         }
 
@@ -510,7 +506,7 @@ class DecompositionTerm:
         return {
             "kind": self.kind,
             "edges": list(self.edges),
-            "coefficient": _rat_str(self.coefficient),
+            "coefficient": rat_str(self.coefficient),
         }
 
 
@@ -525,8 +521,8 @@ class SegmentAnalysis:
         return {
             "edges": [g[0].id for g in self.segment.steps],
             "endpoints": list(self.segment.endpoints),
-            "length": _lit(self.segment.length),
-            "pi_ratio": None if self.ratio is None else _rat_str(self.ratio),
+            "length": format_scalar(self.segment.length),
+            "pi_ratio": None if self.ratio is None else rat_str(self.ratio),
             "decomposition": [t.as_report() for t in self.terms],
             "verified": self.verified,
         }
@@ -537,60 +533,6 @@ def _edge_vector(edge_index: dict, ids) -> list:
     for eid in ids:
         v[edge_index[eid]] = Rat(1)
     return v
-
-
-def _solve_all(columns: list, targets: list) -> list:
-    """Gauss-Jordan on the shared matrix; one solution per target.
-
-    Pivots are chosen left to right, free variables pinned at zero, so the
-    support always sits in the earliest independent columns.  Targets the
-    columns cannot reach come back as None.
-    """
-    if not columns:
-        return [None if any(t) else [] for t in targets]
-    rows = len(columns[0])
-    ncols = len(columns)
-    a = [[columns[j][i] for j in range(ncols)] for i in range(rows)]
-    rhs = [[t[i] for t in targets] for i in range(rows)]
-    pivots = []  # (row, col)
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, rows):
-            if a[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[prow], a[sel] = a[sel], a[prow]
-        rhs[prow], rhs[sel] = rhs[sel], rhs[prow]
-        inv = Rat(1) / a[prow][col]
-        a[prow] = [x * inv for x in a[prow]]
-        rhs[prow] = [x * inv for x in rhs[prow]]
-        for r in range(rows):
-            if r != prow and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
-                rhs[r] = [x - f * y for x, y in zip(rhs[r], rhs[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == rows:
-            break
-    out = []
-    for k in range(len(targets)):
-        ok = True
-        for r in range(prow, rows):
-            if rhs[r][k]:
-                ok = False
-                break
-        if not ok:
-            out.append(None)
-            continue
-        x = [Rat(0)] * ncols
-        for r, c in pivots:
-            x[c] = rhs[r][k]
-        out.append(x)
-    return out
 
 
 def _decompose_many(
@@ -609,7 +551,7 @@ def _decompose_many(
         columns.append(_edge_vector(edge_index, c.edge_ids))
         labels.append(("cycle", tuple(g[0].id for g in c.steps), c))
     targets = [_edge_vector(edge_index, (g[0].id for g in s.steps)) for s in segments]
-    solutions = _solve_all(columns, targets)
+    solutions = solve(columns, targets)
     out = []
     for seg, target, sol in zip(segments, targets, solutions):
         if sol is None:
@@ -702,7 +644,7 @@ def _incommensurable_cycle_hint(sub: Subgraph, cap: int) -> Optional[dict]:
             if pi_ratio(c.length) is None:
                 return {
                     "edges": [g[0].id for g in c.steps],
-                    "length": _lit(c.length),
+                    "length": format_scalar(c.length),
                 }
     except EnumerationCapExceeded:
         return None
@@ -774,7 +716,7 @@ def analyze(
             ratio = pi_ratio(seg.length)
             if ratio is None:
                 raise InternalInconsistency(
-                    f"segment length {_lit(seg.length)} is not a rational multiple of PI"
+                    f"segment length {format_scalar(seg.length)} is not a rational multiple of PI"
                 )
             seg_out.append(SegmentAnalysis(seg, ratio, terms, verified))
     except InternalInconsistency as exc:

@@ -64,7 +64,7 @@ class InternalInconsistency(CommensuraError):
 class AuditFailure(CommensuraError):
     """A named hypothesis clause of an exact audit failed."""
 
-    def __init__(self, clause: str, detail: str = ""):
+    def __init__(self, clause: int, detail: str = ""):
         self.clause = clause
         self.detail = detail
         super().__init__(f"audit clause failed: {clause}" + (f" ({detail})" if detail else ""))

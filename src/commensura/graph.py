@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._rat import Rat, rat_str
+from ._rat import Rat
 from .errors import (
     DisconnectedGraph,
     EnumerationCapExceeded,
@@ -26,7 +26,7 @@ from .errors import (
     NonpositiveLength,
     PrecisionExhausted,
 )
-from .scalars import Comparison, Scalar, SymbolTable, format_scalar, parse_scalar
+from .scalars import Comparison, Scalar, SymbolTable, format_scalar, parse_scalar, sum_terms
 
 DEFAULT_CYCLE_CAP = 10**6
 
@@ -203,15 +203,16 @@ class PointOnGraph:
     """A point on an edge: offset along the edge from its u end."""
 
     edge_id: str
-    forward: bool
     offset: Scalar
 
     @staticmethod
     def make(graph: MetricGraph, edge_id: str, offset: Scalar, forward: bool = True) -> "PointOnGraph":
+        """The point at ``offset`` from the u end, or from the v end when
+        ``forward`` is False."""
         edge = graph.edge_by_id[edge_id]
         if not forward:
             offset = edge.length - offset
-        return PointOnGraph(edge_id, True, offset)
+        return PointOnGraph(edge_id, offset)
 
     def as_vertex(self, graph: MetricGraph) -> Optional[str]:
         edge = graph.edge_by_id[self.edge_id]
@@ -346,9 +347,6 @@ def shortest_path(graph: MetricGraph, u: str, v: str) -> PathResult:
 class GirthResult:
     value: Optional[Scalar]  # None when the graph is acyclic
     witness_edges: tuple[str, ...]
-
-    def witness_length(self) -> Optional[Scalar]:
-        return self.value
 
 
 def girth(graph: MetricGraph) -> GirthResult:
@@ -537,8 +535,8 @@ def point_diameter_check(graph: MetricGraph, sub: Subgraph, bound: Scalar) -> Di
                     if best is None or _strict_cmp(table, val, best) is Comparison.GREATER:
                         best = val
                         best_pair = (
-                            PointOnGraph(e.id, True, alpha),
-                            PointOnGraph(f.id, True, beta),
+                            PointOnGraph(e.id, alpha),
+                            PointOnGraph(f.id, beta),
                         )
 
     assert best is not None
@@ -552,8 +550,7 @@ def point_distance(graph: MetricGraph, x: PointOnGraph, y: PointOnGraph) -> Scal
     table = graph.table
     e = graph.edge_by_id[x.edge_id]
     f = graph.edge_by_id[y.edge_id]
-    alpha = x.offset if x.forward else e.length - x.offset
-    beta = y.offset if y.forward else f.length - y.offset
+    alpha, beta = x.offset, y.offset
     candidates = []
     for ia in (0, 1):
         for ib in (0, 1):
@@ -613,9 +610,7 @@ def _canonical_cycle(graph: MetricGraph, germs: list[Germ]) -> Cycle:
         rev = rev_all[rstart:] + rev_all[:rstart]
         if rev[0][0].id < fwd[0][0].id:
             fwd = rev
-    total = graph.table.zero()
-    for g in fwd:
-        total = total + g[0].length
+    total = sum_terms((g[0].length for g in fwd), graph.table.zero())
     return Cycle(tuple(fwd), frozenset(g[0].id for g in fwd), total)
 
 
@@ -690,9 +685,7 @@ def segments_of(sub: Subgraph) -> list[SegmentPath]:
                 continue
             if graph.vertex_order(germ_source(steps[0])) > graph.vertex_order(cur):
                 steps = [reverse_germ(g) for g in reversed(steps)]
-            total = graph.table.zero()
-            for g in steps:
-                total = total + g[0].length
+            total = sum_terms((g[0].length for g in steps), graph.table.zero())
             found[key] = SegmentPath(tuple(steps), key, total)
     return sorted(found.values(), key=SegmentPath.sort_key)
 
@@ -748,14 +741,11 @@ def bars_of(
                         y = germ_target(g)
                         if y in targets:
                             steps = path + [g]
-                            total = graph.table.zero()
-                            for s in steps:
-                                total = total + s[0].length
                             bars.append(
                                 BarTriple(
                                     tuple(steps),
                                     frozenset(s[0].id for s in steps),
-                                    total,
+                                    sum_terms((s[0].length for s in steps), graph.table.zero()),
                                     c1,
                                     c2,
                                 )
@@ -780,39 +770,6 @@ def bars_of(
 #   subgraph NAME E1 E2 ...
 
 
-def _parse_decimal(text: str):
-    try:
-        from fractions import Fraction
-
-        return Rat(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad decimal {text!r}") from exc
-
-
-def _decimal_text(value) -> str:
-    """Exact decimal rendering; denominators are 10-smooth for parsed input."""
-    num, den = value.numerator, value.denominator
-    if den == 1:
-        return str(num)
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        raise ValueError("symbol approximation is not exactly decimal")
-    scale = max(twos, fives)
-    shifted = num * 10**scale // den
-    sign = "-" if shifted < 0 else ""
-    digits = str(abs(shifted)).rjust(scale + 1, "0")
-    if scale == 0:
-        return sign + digits
-    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
-
-
 def parse_graph(text: str, precision_bits: int | None = None) -> MetricGraph:
     from .scalars import DEFAULT_PRECISION_BITS
 
@@ -826,16 +783,7 @@ def parse_graph(text: str, precision_bits: int | None = None) -> MetricGraph:
         kind = parts[0]
         try:
             if kind == "symbol":
-                if len(parts) == 3 and parts[2] == "pi":
-                    table.declare_pi_symbol(parts[1])
-                elif len(parts) == 5 and parts[3] == "err":
-                    approx = _parse_decimal(parts[2])
-                    err = parse_scalar(table, parts[4])
-                    if set(err.coeffs) - {0}:
-                        raise ValueError("error radius must be rational")
-                    table.declare_decimal_symbol(parts[1], approx, err.coeffs.get(0, Rat(0)))
-                else:
-                    raise ValueError("expected 'symbol NAME pi' or 'symbol NAME <decimal> err <rational>'")
+                table.declare_line(parts)
             elif kind == "vertex":
                 if len(parts) != 2:
                     raise ValueError("expected 'vertex NAME'")
@@ -860,16 +808,7 @@ def parse_graph(text: str, precision_bits: int | None = None) -> MetricGraph:
 
 
 def serialize_graph(graph: MetricGraph) -> str:
-    lines = []
-    for sym in graph.table.user_symbols():
-        if sym.kind == "pi":
-            lines.append(f"symbol {sym.name} pi")
-        elif sym.kind == "decimal":
-            lines.append(
-                f"symbol {sym.name} {_decimal_text(sym.value)} err {rat_str(sym.radius)}"
-            )
-        else:
-            raise ValueError(f"symbol {sym.name} has no text form")
+    lines = graph.table.symbol_lines()
     for v in graph.vertices:
         lines.append(f"vertex {v}")
     for e in graph.edges:

@@ -2,17 +2,17 @@
 
 A Scalar is a finite rational combination of basis symbols.  Two symbols are
 always present: the rational unit ``1`` and ``PI``.  Users may declare more
-(a decimal approximation with an explicit error radius, an optional
-refinement callback, or another handle on the built-in pi stream).  The
-declared symbols together with 1 are *asserted* Q-linearly independent; that
-assertion is a trust assumption of every equality decision below and is
-deliberately not re-derived here.
+(a decimal approximation with an explicit error radius, or another handle on
+the built-in pi stream).  The declared symbols together with 1 are
+*asserted* Q-linearly independent; that assertion is a trust assumption of
+every equality decision below and is deliberately not re-derived here.
 
 Equality is decided symbolically (equal coefficient maps).  Strict order is
 decided numerically but soundly: the difference is enclosed in a rational
 interval that is refined until the sign is certain or the bit budget runs
 out, in which case the comparison reports INDETERMINATE rather than guess.
-No floating point enters any decision.
+Only PI-kind symbols refine; a difference without them is decided at the
+first rung.  No floating point enters any decision.
 
 Products of Scalars live in a separate Area type whose basis is unordered
 symbol pairs.  Areas support addition, rational scaling and the same
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from ._rat import Rat, as_rat, rat_str
 from .errors import MixedSymbolTables, PrecisionExhausted
@@ -57,7 +59,7 @@ class Comparison(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _atan_inv_scaled(k: int, scale: int, bits: int) -> tuple[int, int]:
+def _atan_inv_scaled(k: int, scale: int) -> tuple[int, int]:
     """Integer bounds [lo, hi] with atan(1/k)*scale in [lo, hi]."""
     ksq = k * k
     power = k  # k**(2i+1)
@@ -75,9 +77,6 @@ def _atan_inv_scaled(k: int, scale: int, bits: int) -> tuple[int, int]:
             break
         power *= ksq
         i += 1
-        # stop once the next term is provably below target resolution
-        if scale // ((2 * i + 1) * power) == 0 and i % 2 == 0:
-            pass  # let the loop emit one more zero term and exit
     # Each floor division under-counts by < 1, over terms of both signs, so
     # acc is within `terms` of the exact partial sum; the tail of the
     # alternating series is below the first omitted term, already < 1 here.
@@ -98,8 +97,8 @@ class _PiStream:
             return cached
         guard = 16
         scale = 1 << (bits + guard)
-        lo5, hi5 = _atan_inv_scaled(5, scale, bits)
-        lo239, hi239 = _atan_inv_scaled(239, scale, bits)
+        lo5, hi5 = _atan_inv_scaled(5, scale)
+        lo239, hi239 = _atan_inv_scaled(239, scale)
         lo_int = 16 * lo5 - 4 * hi239
         hi_int = 16 * hi5 - 4 * lo239
         lo = Rat(lo_int, scale)
@@ -119,15 +118,13 @@ _PI = _PiStream()
 
 
 class _Symbol:
-    __slots__ = ("name", "kind", "value", "radius", "refiner", "_cache")
+    __slots__ = ("name", "kind", "value", "radius")
 
-    def __init__(self, name, kind, value=None, radius=None, refiner=None):
+    def __init__(self, name, kind, value=None, radius=None):
         self.name = name
-        self.kind = kind  # "unit" | "pi" | "decimal" | "callback"
+        self.kind = kind  # "unit" | "pi" | "decimal"; only "pi" refines with bits
         self.value = value
         self.radius = radius
-        self.refiner = refiner
-        self._cache: RatPair | None = None
 
     def enclosure(self, bits: int) -> RatPair:
         if self.kind == "unit":
@@ -135,21 +132,33 @@ class _Symbol:
             return (one, one)
         if self.kind == "pi":
             return _PI.enclosure(bits)
-        if self.kind == "decimal":
-            return (self.value - self.radius, self.value + self.radius)
-        lo, hi = self.refiner(bits)
-        lo, hi = as_rat(lo), as_rat(hi)
-        if self._cache is not None:
-            plo, phi = self._cache
-            lo = max(lo, plo)
-            hi = min(hi, phi)
-        if lo > hi:
-            raise PrecisionExhausted(f"refiner for {self.name} produced non-nested intervals")
-        self._cache = (lo, hi)
-        return (lo, hi)
+        return (self.value - self.radius, self.value + self.radius)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_DECIMAL_RE = re.compile(r"-?\d+(?:\.\d+)?\Z")
+
+
+def _decimal_text(value) -> str:
+    """Exact decimal rendering of a value with a 10-smooth denominator."""
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
+    twos = fives = 0
+    d = den
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d != 1:
+        raise ValueError("symbol approximation is not exactly decimal")
+    scale = max(twos, fives)
+    shifted = num * 10**scale // den
+    sign = "-" if shifted < 0 else ""
+    digits = str(abs(shifted)).rjust(scale + 1, "0")
+    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
 
 
 class SymbolTable:
@@ -188,8 +197,37 @@ class SymbolTable:
         """
         return self._add(_Symbol(name, "pi"))
 
-    def declare_callback_symbol(self, name: str, refiner: Callable[[int], RatPair]) -> int:
-        return self._add(_Symbol(name, "callback", refiner=refiner))
+    def declare_line(self, parts: Sequence[str]) -> int:
+        """Declare the symbol of one split ``symbol`` line of a text format:
+        ``symbol NAME pi`` or ``symbol NAME <decimal> err <rational>``.
+
+        Raises ValueError on a malformed line; the decimal must be a plain
+        decimal literal, so symbol_lines can write it back exactly.
+        """
+        if len(parts) == 3 and parts[2] == "pi":
+            return self.declare_pi_symbol(parts[1])
+        if len(parts) == 5 and parts[3] == "err":
+            if not _DECIMAL_RE.match(parts[2]):
+                raise ValueError(f"bad decimal {parts[2]!r}")
+            err = parse_scalar(self, parts[4])
+            if set(err.coeffs) - {0}:
+                raise ValueError("error radius must be rational")
+            return self.declare_decimal_symbol(
+                parts[1], Rat(Fraction(parts[2])), err.coeffs.get(0, Rat(0))
+            )
+        raise ValueError("expected 'symbol NAME pi' or 'symbol NAME <decimal> err <rational>'")
+
+    def symbol_lines(self) -> list[str]:
+        """One ``symbol`` line per user symbol, in declaration order."""
+        lines = []
+        for sym in self.user_symbols():
+            if sym.kind == "pi":
+                lines.append(f"symbol {sym.name} pi")
+            else:
+                lines.append(
+                    f"symbol {sym.name} {_decimal_text(sym.value)} err {rat_str(sym.radius)}"
+                )
+        return lines
 
     def _add(self, sym: _Symbol) -> int:
         if not _NAME_RE.match(sym.name):
@@ -244,37 +282,27 @@ class SymbolTable:
 
     # -- decisions ----------------------------------------------------------
 
-    def _interval_of(self, coeffs: dict, bits: int) -> RatPair:
-        lo = Rat(0)
-        hi = Rat(0)
-        for idx, c in coeffs.items():
-            slo, shi = self.enclosure(idx, bits)
-            if c >= 0:
-                lo += c * slo
-                hi += c * shi
-            else:
-                lo += c * shi
-                hi += c * slo
-        return lo, hi
+    def _ladder(self, coeffs: dict, bits: int | None, pairs: bool = False) -> Comparison:
+        """The one certified sign decision, for a nonzero coefficient map.
 
-    def _sign_by_refinement(self, coeffs: dict, bits: int | None) -> Comparison:
+        Encloses the value at 64 bits, then at doubled budgets up to ``bits``
+        (the table default when None), until the enclosure excludes zero.
+        Scalar keys are symbol indices, Area keys (``pairs``) index pairs.
+        Only PI-kind symbols narrow with more bits, so a map without them is
+        decided, or left INDETERMINATE, at the first rung.
+        """
+        interval = _product_interval if pairs else _linear_interval
         budget = self.precision_bits if bits is None else bits
-        exact = all(self._symbols[i].kind == "unit" for i in coeffs)
-        if exact:
-            total = sum(coeffs.values(), Rat(0))
-            if total > 0:
-                return Comparison.GREATER
-            if total < 0:
-                return Comparison.LESS
-            return Comparison.EQUAL
         cur = _LADDER_START
         while True:
-            lo, hi = self._interval_of(coeffs, cur)
+            lo, hi = interval(self, coeffs, cur)
             if lo > 0:
                 return Comparison.GREATER
             if hi < 0:
                 return Comparison.LESS
-            if cur >= budget:
+            symbols = self._symbols
+            indices = chain.from_iterable(coeffs) if pairs else coeffs
+            if cur >= budget or all(symbols[i].kind != "pi" for i in indices):
                 return Comparison.INDETERMINATE
             cur = min(cur * 2, budget)
 
@@ -283,12 +311,12 @@ class SymbolTable:
         diff = _sub_maps(a.coeffs, b.coeffs)
         if not diff:
             return Comparison.EQUAL
-        return self._sign_by_refinement(diff, bits)
+        return self._ladder(diff, bits)
 
     def sign(self, a: "Scalar", bits: int | None = None) -> Comparison:
         if not a.coeffs:
             return Comparison.EQUAL
-        return self._sign_by_refinement(a.coeffs, bits)
+        return self._ladder(a.coeffs, bits)
 
     def require(self, cmp: Comparison, context: str = "") -> Comparison:
         if cmp is Comparison.INDETERMINATE:
@@ -297,13 +325,61 @@ class SymbolTable:
 
     def approx(self, a: "Scalar", bits: int = 64):
         """Rational midpoint of an enclosure; presentation only."""
-        lo, hi = self._interval_of(a.coeffs, bits)
+        lo, hi = _linear_interval(self, a.coeffs, bits)
         return (lo + hi) / 2
+
+
+def _linear_interval(table: SymbolTable, coeffs: dict, bits: int) -> RatPair:
+    """Enclosure of a Scalar's value at one rung."""
+    lo = Rat(0)
+    hi = Rat(0)
+    for idx, c in coeffs.items():
+        slo, shi = table.enclosure(idx, bits)
+        if c >= 0:
+            lo += c * slo
+            hi += c * shi
+        else:
+            lo += c * shi
+            hi += c * slo
+    return lo, hi
+
+
+def _product_interval(table: SymbolTable, coeffs: dict, bits: int) -> RatPair:
+    """Enclosure of an Area's value at one rung: per pair, the product of
+    the two symbol enclosures."""
+    lo = Rat(0)
+    hi = Rat(0)
+    for (i, j), c in coeffs.items():
+        ilo, ihi = table.enclosure(i, bits)
+        jlo, jhi = table.enclosure(j, bits)
+        products = (ilo * jlo, ilo * jhi, ihi * jlo, ihi * jhi)
+        plo, phi = min(products), max(products)
+        if c >= 0:
+            lo += c * plo
+            hi += c * phi
+        else:
+            lo += c * phi
+            hi += c * plo
+    return lo, hi
 
 
 def _check_same_table(a, b) -> None:
     if a.table is not b.table:
         raise MixedSymbolTables("operands come from different symbol tables")
+
+
+def sum_terms(items: Iterable, start):
+    """``start`` plus every item: Scalars, or Areas, of start's table.
+
+    The terms accumulate into one coefficient map and the zero coefficients
+    are dropped once at the end; the result has start's type.
+    """
+    coeffs = dict(start.coeffs)
+    for item in items:
+        _check_same_table(start, item)
+        for k, v in item.coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + v
+    return type(start)(start.table, {k: v for k, v in coeffs.items() if v})
 
 
 def _sub_maps(x: dict, y: dict) -> dict:
@@ -456,41 +532,7 @@ def compare_area(a: Area, b: Area, bits: int | None = None) -> Comparison:
     diff = _sub_maps(a.coeffs, b.coeffs)
     if not diff:
         return Comparison.EQUAL
-    table = a.table
-    exact = all(
-        table._symbols[i].kind == "unit" and table._symbols[j].kind == "unit"
-        for (i, j) in diff
-    )
-    if exact:
-        total = sum(diff.values(), Rat(0))
-        if total > 0:
-            return Comparison.GREATER
-        if total < 0:
-            return Comparison.LESS
-        return Comparison.EQUAL
-    budget = table.precision_bits if bits is None else bits
-    cur = _LADDER_START
-    while True:
-        lo = Rat(0)
-        hi = Rat(0)
-        for (i, j), c in diff.items():
-            ilo, ihi = table.enclosure(i, cur)
-            jlo, jhi = table.enclosure(j, cur)
-            products = (ilo * jlo, ilo * jhi, ihi * jlo, ihi * jhi)
-            plo, phi = min(products), max(products)
-            if c >= 0:
-                lo += c * plo
-                hi += c * phi
-            else:
-                lo += c * phi
-                hi += c * plo
-        if lo > 0:
-            return Comparison.GREATER
-        if hi < 0:
-            return Comparison.LESS
-        if cur >= budget:
-            return Comparison.INDETERMINATE
-        cur = min(cur * 2, budget)
+    return a.table._ladder(diff, bits, pairs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +612,7 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty scalar literal")
-    result = table.zero()
+    terms = []
     i = 0
     sign = 1
     first = True
@@ -589,17 +631,17 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "sym":
                     raise ValueError("expected symbol after '*'")
-                result = result + table.symbol(tokens[i][1], coeff)
+                terms.append(table.symbol(tokens[i][1], coeff))
                 i += 1
             else:
-                result = result + table.rational(coeff)
+                terms.append(table.rational(coeff))
         elif kind == "sym":
-            result = result + table.symbol(val, sign)
+            terms.append(table.symbol(val, sign))
             i += 1
         else:
             raise ValueError("expected a term")
         first = False
-    return result
+    return sum_terms(terms, table.zero())
 
 
 def _term_text(table: SymbolTable, idx: int, coeff) -> str:
@@ -609,6 +651,11 @@ def _term_text(table: SymbolTable, idx: int, coeff) -> str:
     if coeff == 1:
         return name
     return f"{rat_str(coeff)}*{name}"
+
+
+def format_compact(a: Scalar) -> str:
+    """The canonical literal without spaces, for space-separated formats."""
+    return format_scalar(a).replace(" ", "")
 
 
 def format_scalar(a: Scalar) -> str:
@@ -648,17 +695,3 @@ def format_area(a: Area) -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
-
-
-def sum_scalars(items: Iterable[Scalar], table: SymbolTable) -> Scalar:
-    total = table.zero()
-    for s in items:
-        total = total + s
-    return total
-
-
-def sum_areas(items: Iterable[Area], table: SymbolTable) -> Area:
-    total = Area(table, {})
-    for a in items:
-        total = total + a
-    return total

@@ -32,7 +32,8 @@ from .scalars import (
     SymbolTable,
     commensurable,
     format_area,
-    format_scalar,
+    format_compact,
+    sum_terms,
 )
 
 
@@ -114,6 +115,10 @@ class DiamondPiece:
     def shape(self) -> str:
         return "square" if self.half_sum == self.half_diff else "rectangle"
 
+    @property
+    def halves(self) -> tuple:
+        return (self.half_sum, self.half_diff)
+
     def area(self) -> Area:
         return (self.half_sum * self.half_diff).scale(2)
 
@@ -130,6 +135,10 @@ class AxisPiece:
     @property
     def shape(self) -> str:
         return "axis-square" if self.half_x == self.half_y else "axis-rectangle"
+
+    @property
+    def halves(self) -> tuple:
+        return (self.half_x, self.half_y)
 
     def area(self) -> Area:
         return (self.half_x * self.half_y).scale(4)
@@ -320,21 +329,11 @@ class _Grid:
 
 def _piece_box(piece):
     """Grid-coordinate box (u_lo, u_extent, v_lo, v_extent) of a piece."""
-    cx, cy = piece.center
+    cu, cv = piece.center
     if isinstance(piece, DiamondPiece):
-        u_c, v_c = cx + cy, cx - cy
-        return (
-            u_c - piece.half_sum,
-            piece.half_sum.scale(2),
-            v_c - piece.half_diff,
-            piece.half_diff.scale(2),
-        )
-    return (
-        cx - piece.half_x,
-        piece.half_x.scale(2),
-        cy - piece.half_y,
-        piece.half_y.scale(2),
-    )
+        cu, cv = cu + cv, cu - cv
+    hu, hv = piece.halves
+    return (cu - hu, hu.scale(2), cv - hv, hv.scale(2))
 
 
 def _layout(t: GeometricTiling):
@@ -483,18 +482,11 @@ def _covering_pieces(grid: _Grid, j: int, k: int):
     return found
 
 
-def _total_area(t: GeometricTiling) -> Area:
-    total = Area(t.table, {})
-    for p in t.pieces:
-        total = total + p.area()
-    return total
-
-
 def verify_tiling(t: GeometricTiling) -> TilingReport:
     """Exact coverage of the region with multiplicity one, plus the area
     identity.  First defect in grid scan order wins."""
     table = t.table
-    tiled = _total_area(t)
+    tiled = sum_terms((p.area() for p in t.pieces), Area(table, {}))
     region_area = t.region.area()
     if isinstance(t.region, ProductRegion) and _lift_counts(t.region) is None:
         # no common refinement exists; the area identity is the only
@@ -622,45 +614,38 @@ def to_measure_tiling(
 # ---------------------------------------------------------------------------
 
 
-def _literal(s: Scalar) -> str:
-    return format_scalar(s).replace(" ", "")
-
-
 def serialize_tiling(t: GeometricTiling, report: Optional[TilingReport] = None) -> str:
     lines = []
     r = t.region
     if isinstance(r, AnnulusRegion):
         lines.append(
-            f"region annulus length={_literal(r.length)} area={format_area(r.area())}"
+            f"region annulus length={format_compact(r.length)} area={format_area(r.area())}"
         )
     elif isinstance(r, ProductRegion):
         lines.append(
             "region product"
-            f" length1={_literal(r.length1)} length2={_literal(r.length2)}"
+            f" length1={format_compact(r.length1)} length2={format_compact(r.length2)}"
             f" area={format_area(r.area())}"
         )
     else:
         n1, n2 = r.lift_counts
         lines.append(
-            f"region torus length={_literal(r.length)} lifts={n1}x{n2}"
+            f"region torus length={format_compact(r.length)} lifts={n1}x{n2}"
             f" area={format_area(r.area())}"
         )
     for p in t.pieces:
         cx, cy = p.center
-        if isinstance(p, DiamondPiece):
-            halves = (p.half_sum, p.half_diff)
-        else:
-            halves = (p.half_x, p.half_y)
+        hu, hv = p.halves
         lines.append(
             f"piece {p.label} kind={p.shape}"
-            f" center=({_literal(cx)},{_literal(cy)})"
-            f" halves=({_literal(halves[0])},{_literal(halves[1])})"
+            f" center=({format_compact(cx)},{format_compact(cy)})"
+            f" halves=({format_compact(hu)},{format_compact(hv)})"
         )
     if report is not None:
         tail = f"verdict {report.status}"
         if report.witness is not None:
             wx, wy = report.witness
-            tail += f" witness=({_literal(wx)},{_literal(wy)})"
+            tail += f" witness=({format_compact(wx)},{format_compact(wy)})"
         if report.pieces:
             tail += " pieces=" + ",".join(t.pieces[i].label for i in report.pieces)
         tail += (

@@ -34,6 +34,15 @@ piece A={b} B={u}
 piece A={c} B={u}
 """
 
+# a declared symbol puts the solve columns at symbol indices 1 and 2
+H_BY_PI = """\
+symbol h 2.5 err 1/100
+space X x0=PI x1=h
+space Y y0=2*PI
+piece A={x0} B={y0}
+piece A={x1} B={y0}
+"""
+
 UNIT_BY_PI = """\
 space X x1=1
 space Y y1=PI
@@ -253,6 +262,18 @@ def test_dehn_pi_sided_square_tiling_fails(capsys, tmp_path):
     assert code == 3
     assert "incommensurable" in out
     assert "violated axiom: not-square" in out
+
+
+def test_dehn_certificate_functional_keyed_by_symbol(capsys, tmp_path):
+    path = write(tmp_path, "h.tiling", H_BY_PI)
+    code, out, _ = run(capsys, "--format", "machine", "dehn", path)
+    assert code == 3
+    dehn = json.loads(out)["dehn"]
+    assert dehn["verdict"] == "certificate"
+    assert dehn["functional"] == {"1": "-1/2", "2": "3/2"}
+    # f(muX) * f(muY) = 1 * (-1) < 0, impossible for a sum of squares
+    assert dehn["lhs"] == "-1"
+    assert dehn["piece_products"] == ["1/2", "-3/2"]
 
 
 def test_dehn_two_parameter_commensurable(capsys, tmp_path):

@@ -126,6 +126,16 @@ def test_positive_measures_enforced():
         MeasureTiling(table, [("x1", table.zero())], [("y1", table.rational(1))], [({0}, {0})])
 
 
+@pytest.mark.parametrize("piece", [({-1}, {0}), ({0}, {-1}), ({0, -2}, {0, 1})])
+def test_negative_element_index_rejected(piece):
+    # a negative index would wrap to the last element and verify as ok
+    table = SymbolTable()
+    x = [("x0", table.rational(1)), ("x1", table.rational(1))]
+    y = [("y0", table.rational(1)), ("y1", table.rational(1))]
+    with pytest.raises(ValueError, match="unknown element"):
+        MeasureTiling(table, x, y, [piece])
+
+
 # ---------------------------------------------------------------------------
 # functionals
 # ---------------------------------------------------------------------------
@@ -142,6 +152,14 @@ def test_solve_functional_two_equations():
     assert f == {0: Rat(1), 1: Rat(-1)}
     mixed = table.pi(Fraction(2, 3)) + table.rational(5)
     assert apply_functional(f, mixed) == Rat(5) - Rat(2, 3)
+
+
+def test_solve_functional_keys_by_symbol_index():
+    table = SymbolTable()
+    table.declare_decimal_symbol("h", Rat(5, 2), Rat(1, 100))
+    assert solve_functional([(table.symbol("h"), Rat(1))]) == {2: Rat(1)}
+    f = solve_functional([(table.pi() + table.symbol("h"), Rat(1)), (table.pi(2), Rat(-1))])
+    assert f == {1: Rat(-1, 2), 2: Rat(3, 2)}
 
 
 def test_solve_functional_inconsistent():
@@ -363,6 +381,27 @@ def test_dehn_plus_certificate_pi_incommensurable():
     assert v.designated_bound == Rat(2)
     assert v.violated.status == "uncovered"
     assert (t.x_names[v.violated.x_index], t.y_names[v.violated.y_index]) == ("c", "v")
+
+
+def test_dehn_plus_certificate_with_declared_symbol_q():
+    # q = h sits at symbol index 2 while r = PI sits at index 1
+    table = SymbolTable()
+    table.declare_decimal_symbol("h", Rat(5, 2), Rat(1, 100))
+    pi, h = table.pi(), table.symbol("h")
+    x = [("a", pi), ("b", pi), ("c", pi.scale(3)), ("d", pi.scale(5)), ("e", h.scale(2))]
+    y = [("u", pi.scale(3)), ("v", h + pi)]
+    pieces = [
+        ({0}, {1}),  # PI x (h + PI) rectangle
+        ({1}, {1}),  # PI x (h + PI) rectangle
+        ({2}, {0}),  # 3*PI square
+    ]
+    t = MeasureTiling(table, x, y, pieces)
+    v = dehn_plus_test(t, h, pi, Rat(10), designated=(2,))
+    assert isinstance(v, DehnPlusCertificate)
+    assert v.functional == {1: Rat(-1), 2: Rat(4)}
+    assert (v.f_mu_x, v.f_mu_y) == (Rat(-2), Rat(0))
+    assert v.rect_products == [Rat(-3), Rat(-3)]
+    assert v.violated.status == "uncovered"
 
 
 def test_dehn_plus_boundary_a_four_needs_designated():

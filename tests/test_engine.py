@@ -7,7 +7,6 @@ import pytest
 
 from commensura._rat import Rat
 from commensura.engine import (
-    _solve_all,
     analyze,
     analyze_bar,
     analyze_cycle,
@@ -16,6 +15,7 @@ from commensura.engine import (
     decompose_segment,
 )
 from commensura.errors import InternalInconsistency, NonpositiveLength
+from commensura.linalg import solve
 from commensura.generators import (
     GaloisField,
     build,
@@ -482,7 +482,7 @@ def test_dumbbell_bar_decomposes_as_itself():
 
 def test_solver_reports_unreachable_targets():
     cols = [[Rat(1), Rat(0)], [Rat(2), Rat(0)]]
-    sols = _solve_all(cols, [[Rat(0), Rat(1)], [Rat(3), Rat(0)]])
+    sols = solve(cols, [[Rat(0), Rat(1)], [Rat(3), Rat(0)]])
     assert sols[0] is None
     assert sols[1] == [Rat(3), Rat(0)]  # leftmost pivot carries the weight
 

@@ -676,7 +676,6 @@ def test_rescaling_scales_distances_and_girth(edge_list, num):
 def test_point_normalization_and_vertex_detection():
     g = build([("e", "a", "b", {0: 4})])
     p = PointOnGraph.make(g, "e", g.table.rational(1), forward=False)
-    assert p.forward
     assert p.offset == g.table.rational(3)
     assert PointOnGraph.make(g, "e", g.table.zero()).as_vertex(g) == "a"
     assert PointOnGraph.make(g, "e", g.table.rational(4)).as_vertex(g) == "b"

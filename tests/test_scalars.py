@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from commensura._rat import Rat
 from commensura.errors import MixedSymbolTables, PrecisionExhausted
 from commensura.scalars import (
+    Area,
     Comparison,
+    Scalar,
     SymbolTable,
     commensurable,
     compare_area,
@@ -283,3 +285,99 @@ def test_area_rejects_further_products(table):
 def test_approx_midpoint(table):
     mid = table.approx(table.pi())
     assert Fraction(mid.numerator, mid.denominator) == pytest.approx(3.14159265, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the sign ladder, differentially
+# ---------------------------------------------------------------------------
+#
+# Symbols: 0 the unit, 1 PI, 2 "tau", a declared handle on the pi stream, and
+# 3 "d", a decimal symbol declared as value +- radius.  The true value of d
+# is known only to lie in that interval, so a decided sign must hold across
+# all of it; PI is taken from mpmath at 400 bits.
+
+_nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool)
+_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
+
+
+def _ladder_table(value, radius):
+    table = SymbolTable()
+    table.declare_pi_symbol("tau")
+    table.declare_decimal_symbol("d", Rat(value), Rat(radius))
+    rungs = []
+    enclosure = table.enclosure
+
+    def recording(idx, bits):
+        rungs.append(bits)
+        return enclosure(idx, bits)
+
+    table.enclosure = recording
+    return table, rungs
+
+
+def _true_range(mpmath, coeffs, pairs, lo, hi):
+    """(min, max) of the value over d in [lo, hi]; a Scalar term idx is
+    read as the pair (idx, unit)."""
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workprec(400):
+        s = [mpmath.mpf(1), +mpmath.pi, +mpmath.pi]
+        quad = lin = const = mpmath.mpf(0)
+        for key, c in coeffs.items():
+            i, j = key if pairs else (key, 0)
+            if i == j == 3:
+                quad += mp(c)
+            elif 3 in (i, j):
+                lin += mp(c) * s[i + j - 3]
+            else:
+                const += mp(c) * s[i] * s[j]
+        points = [mp(lo), mp(hi)]
+        if quad:
+            vertex = -lin / (2 * quad)
+            if points[0] < vertex < points[1]:
+                points.append(vertex)
+        values = [quad * d * d + lin * d + const for d in points]
+        return min(values), max(values)
+
+
+@given(
+    pairs=st.booleans(),
+    data=st.data(),
+    value=st.fractions(min_value=-5, max_value=5, max_denominator=8),
+    radius=st.sampled_from([Fraction(1, 1000), Fraction(1, 10), Fraction(2)]),
+    bits=st.sampled_from([None, 64, 96, 512]),
+)
+@settings(max_examples=300, deadline=None)
+def test_ladder_against_oracles(pairs, data, value, radius, bits):
+    mpmath = pytest.importorskip("mpmath")
+    keys = st.sampled_from(_PAIRS) if pairs else st.integers(0, 3)
+    coeffs = {k: Rat(c) for k, c in data.draw(st.dictionaries(keys, _nonzero, max_size=4)).items()}
+    table, rungs = _ladder_table(value, radius)
+    if pairs:
+        got = compare_area(Area(table, coeffs), Area(table, {}), bits=bits)
+    else:
+        got = table.sign(Scalar(table, coeffs), bits=bits)
+    rungs = list(rungs)
+    if not pairs:
+        assert table.compare(Scalar(table, coeffs), table.zero(), bits=bits) is got
+    if not coeffs:
+        assert got is Comparison.EQUAL
+        return
+    lo, hi = _true_range(mpmath, coeffs, pairs, value - radius, value + radius)
+    if got is Comparison.GREATER:
+        assert lo > 0
+    elif got is Comparison.LESS:
+        assert hi < 0
+    else:
+        assert got is Comparison.INDETERMINATE
+        indices = {i for k in coeffs for i in (k if pairs else (k,))}
+        budget = bits or table.precision_bits
+        if indices <= {0, 1}:
+            pytest.fail("a nonzero value in 1 and PI alone must be decided")
+        elif indices.isdisjoint({1, 2}):
+            # nothing refines: one rung, then give up
+            assert set(rungs) == {64}
+            assert len(rungs) == len(coeffs) * (2 if pairs else 1)
+        else:
+            assert max(rungs) == budget
