@@ -16,7 +16,6 @@ internal inconsistency rather than silently picking one path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ._rat import Rat
 from .errors import InternalInconsistency
@@ -45,7 +44,7 @@ class Visit:
 class ImmersedLoop:
     """A closed germ walk with arc-length positions at every visit."""
 
-    def __init__(self, graph: MetricGraph, steps, kind: str = "cycle", bar_meta: Optional[dict] = None):
+    def __init__(self, graph: MetricGraph, steps):
         steps = tuple(steps)
         if not steps:
             raise ValueError("empty loop")
@@ -54,8 +53,6 @@ class ImmersedLoop:
                 raise InternalInconsistency("loop steps do not close up")
         self.graph = graph
         self.steps = steps
-        self.kind = kind
-        self.bar_meta = bar_meta
         visits = []
         pos = graph.table.zero()
         for i, g in enumerate(steps):
@@ -70,7 +67,7 @@ class ImmersedLoop:
 
 
 def loop_from_cycle(graph: MetricGraph, cycle: Cycle) -> ImmersedLoop:
-    return ImmersedLoop(graph, cycle.steps, kind="cycle")
+    return ImmersedLoop(graph, cycle.steps)
 
 
 def _rotate_to(steps, vertex: str):
@@ -90,8 +87,7 @@ def bar_loop(graph: MetricGraph, bar: BarTriple) -> ImmersedLoop:
     steps += list(bar.steps)
     steps += _rotate_to(bar.cycle2.steps, v)
     steps += [reverse_germ(g) for g in reversed(bar.steps)]
-    meta = {"l1": bar.cycle1.length, "b": bar.length, "l2": bar.cycle2.length}
-    return ImmersedLoop(graph, steps, kind="bar", bar_meta=meta)
+    return ImmersedLoop(graph, steps)
 
 
 @dataclass(frozen=True)
@@ -209,89 +205,3 @@ def chord_budgets(loop: ImmersedLoop, chords: list[Chord]):
         cmp = table.require(table.compare(total, bound), "chord budget undecidable")
         rows.append((vis, total, bound, cmp is not Comparison.GREATER))
     return rows
-
-
-@dataclass(frozen=True)
-class SplicedRectangle:
-    """Diagonal rectangle in loop-square coordinates.
-
-    corners lists the four corner position pairs; center and the two
-    half-extents (along x+y and x-y) are derived from them and drive the
-    tiling construction.
-    """
-
-    corners: tuple
-    center: tuple
-    half_sum: Scalar
-    half_diff: Scalar
-
-    def area(self) -> Area:
-        return (self.half_sum * self.half_diff).scale(2)
-
-
-@dataclass(frozen=True)
-class SplicedRegion:
-    rectangles: tuple
-
-
-@dataclass(frozen=True)
-class BarShape:
-    """Positions of the two bar passes inside a bar loop.
-
-    The walk runs over the bar during [first_pass_start, first_pass_start+b]
-    and again during [second_pass_end-b, second_pass_end], where b is the
-    bar length.
-    """
-
-    bar_length: Scalar
-    first_cycle_length: Scalar
-    second_cycle_length: Scalar
-    first_pass_start: Scalar
-    second_pass_end: Scalar
-
-
-def bar_shape_of(loop: ImmersedLoop) -> BarShape:
-    if loop.kind != "bar" or not loop.bar_meta:
-        raise ValueError("loop does not carry bar traversal data")
-    l1 = loop.bar_meta["l1"]
-    b = loop.bar_meta["b"]
-    l2 = loop.bar_meta["l2"]
-    return BarShape(b, l1, l2, l1, loop.length)
-
-
-def spliced_region(loop: ImmersedLoop, shape: Optional[BarShape] = None) -> SplicedRegion:
-    """Self-crossing locus of the loop square, as diagonal rectangles.
-
-    An embedded cycle has none.  A bar loop passes over its bar twice and
-    the pairs (x, y) mapping to the same bar point form two rectangles
-    whose corners follow from the pass positions.
-    """
-    if shape is None:
-        return SplicedRegion(())
-    table = loop.graph.table
-    pi = table.pi()
-    b = shape.bar_length
-    expect = shape.first_cycle_length + shape.second_cycle_length + b.scale(2)
-    if loop.length != expect:
-        raise ValueError("bar shape lengths do not add up to the loop length")
-    s1 = shape.first_pass_start
-    s2 = shape.second_pass_end
-
-    def rect(p, q):
-        corners = (
-            (p - pi, q),
-            (p, q + pi),
-            (p + b + pi, q - b),
-            (p + b, q - b - pi),
-        )
-        center = (p + b.scale(Rat(1, 2)), q - b.scale(Rat(1, 2)))
-        return SplicedRectangle(corners, center, pi, b + pi)
-
-    first = rect(s1, s2)
-    swapped = SplicedRectangle(
-        tuple((y, x) for x, y in first.corners),
-        (first.center[1], first.center[0]),
-        first.half_sum,
-        first.half_diff,
-    )
-    return SplicedRegion((first, swapped))

@@ -21,7 +21,6 @@ from ._rat import Rat
 from .chords import chords_of_loop, chords_of_subgraph, loop_from_cycle
 from .dehn import (
     CommensurableVerdict,
-    DehnPlusCertificate,
     QRCommensurable,
     dehn_plus_test,
     dehn_test,
@@ -46,7 +45,7 @@ from .graph import (
     parse_graph,
     segments_of,
 )
-from .scalars import format_area, format_scalar, parse_scalar, pi_ratio
+from .scalars import MAX_PRECISION_BITS, format_area, format_scalar, parse_scalar, pi_ratio
 from .tilings import (
     AnnulusRegion,
     ProductRegion,
@@ -471,10 +470,18 @@ def _cmd_dehn(args) -> int:
             raise UsageError("the two-parameter audit needs --q, --r and --total")
         q = parse_scalar(table, args.q_lit)
         r = parse_scalar(table, args.r_lit)
-        a = Rat(args.total)
-        designated = tuple(
-            int(s) for s in (t.strip() for t in (args.designated or "").split(",")) if s
-        )
+        try:
+            a = Rat(args.total)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--total must be a rational, got {args.total!r}") from None
+        try:
+            designated = tuple(
+                int(s) for s in (t.strip() for t in (args.designated or "").split(",")) if s
+            )
+        except ValueError:
+            raise UsageError(
+                f"--designated must list integer piece indices, got {args.designated!r}"
+            ) from None
         try:
             result = dehn_plus_test(tiling, q=q, r=r, a=a, designated=designated)
         except AuditFailure as exc:
@@ -580,6 +587,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.precision_bits > MAX_PRECISION_BITS:
+            raise UsageError(f"--precision-bits is at most {MAX_PRECISION_BITS}")
         if args.export_plot is not None and args.command not in ("tile", "analyze"):
             raise UsageError("--export-plot only applies to tile and analyze")
         return _HANDLERS[args.command](args)

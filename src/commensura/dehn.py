@@ -180,10 +180,6 @@ class CommensurableVerdict:
     x_ratios: list[Rat]
     y_ratios: list[Rat]
 
-    @property
-    def kind(self) -> str:
-        return "commensurable"
-
 
 @dataclass
 class DehnCertificate:
@@ -193,10 +189,6 @@ class DehnCertificate:
     lhs: Rat  # f(muX) * f(muY)
     piece_products: list[Rat]  # f(muA_i) * f(muB_i)
     violated: MeasureVerdict
-
-    @property
-    def kind(self) -> str:
-        return "certificate"
 
 
 def _canonical_base(table: SymbolTable, sample: Scalar) -> Scalar:
@@ -265,10 +257,6 @@ def dehn_test(t: MeasureTiling):
 class QRCommensurable:
     ratio: Rat  # q as a multiple of r
 
-    @property
-    def kind(self) -> str:
-        return "qr-commensurable"
-
 
 @dataclass
 class DehnPlusCertificate:
@@ -279,10 +267,6 @@ class DehnPlusCertificate:
     designated_square_sum: Rat  # sum of rho_i^2
     designated_bound: Rat  # a - 4, strictly exceeded
     violated: MeasureVerdict
-
-    @property
-    def kind(self) -> str:
-        return "certificate"
 
 
 def dehn_plus_test(t: MeasureTiling, q: Scalar, r: Scalar, a, designated: Sequence[int]):

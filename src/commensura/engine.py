@@ -19,15 +19,12 @@ from typing import Optional
 
 from ._rat import Rat, rat_str
 from .chords import (
-    Chord,
     ImmersedLoop,
     bar_loop,
-    bar_shape_of,
     chord_budgets,
     chords_of_loop,
     chords_of_subgraph,
     loop_from_cycle,
-    spliced_region,
 )
 from .dehn import (
     CommensurableVerdict,
@@ -436,10 +433,8 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
             "combined cycle length is not a rational multiple of PI"
         )
     loop = bar_loop(graph, bar)
-    shape = bar_shape_of(loop)
     chords = chords_of_loop(loop)
-    spliced = spliced_region(loop, shape)
-    tiling = annulus_tiling(loop, chords, spliced)
+    tiling = annulus_tiling(loop, chords, bar)
     report = verify_tiling(tiling)
     if not report.ok:
         raise InternalInconsistency(

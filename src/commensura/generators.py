@@ -13,6 +13,13 @@ from .graph import MetricGraph, parse_graph, serialize_graph
 from .scalars import Scalar, SymbolTable, parse_scalar
 
 DEFAULT_EDGE = "1/3*PI"
+MAX_EDGES = 100_000
+
+
+def _check_size(edges: int) -> None:
+    """Refuse a graph too large to build, before any vertex exists."""
+    if edges > MAX_EDGES:
+        raise ValueError(f"graph would have {edges} edges; the limit is {MAX_EDGES}")
 
 
 def _as_scalar(table: SymbolTable, value) -> Scalar:
@@ -25,6 +32,7 @@ def circle_graph(edges: int = 6, length: str | Scalar = "2*PI", precision_bits: 
     """Cycle of n vertices whose edge lengths split ``length`` evenly."""
     if edges < 1:
         raise ValueError("circle needs at least one edge")
+    _check_size(edges)
     table = SymbolTable() if precision_bits is None else SymbolTable(precision_bits=precision_bits)
     g = MetricGraph(table)
     total = _as_scalar(table, length)
@@ -41,6 +49,7 @@ def theta_graph(strands: int = 3, length: str | Scalar = "1", precision_bits: in
     """Two vertices joined by parallel strands of equal length."""
     if strands < 2:
         raise ValueError("theta needs at least two strands")
+    _check_size(strands)
     table = SymbolTable() if precision_bits is None else SymbolTable(precision_bits=precision_bits)
     g = MetricGraph(table)
     step = _as_scalar(table, length)
@@ -186,6 +195,7 @@ def incidence_plane_graph(
     every closed walk crosses at least six edges.  With the default edge
     length 1/3*PI the shortest cycles measure exactly 2*PI.
     """
+    _check_size((q * q + q + 1) * (q + 1))
     field = GaloisField(q)
     triples = _projective_triples(field)
     table = SymbolTable() if precision_bits is None else SymbolTable(precision_bits=precision_bits)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._rat import Rat
 from .errors import (
@@ -175,13 +175,9 @@ class Subgraph:
                 if w not in verts:
                     verts.append(w)
         self.vertices = tuple(sorted(verts, key=graph.vertex_order))
-        self._vset = frozenset(verts)
 
     def edges(self) -> list[Edge]:
         return [self.graph.edge_by_id[eid] for eid in self.edge_ids]
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vset
 
     def germs_at(self, vertex: str) -> list[Germ]:
         return [g for g in self.graph.germs_at(vertex) if g[0].id in self.edge_set]

@@ -35,6 +35,8 @@ from ._rat import Rat, as_rat, rat_str
 from .errors import MixedSymbolTables, PrecisionExhausted
 
 DEFAULT_PRECISION_BITS = 256
+# enclosures build integers of about this many bits, so the budget is bounded
+MAX_PRECISION_BITS = 65536
 _LADDER_START = 64
 
 RatPair = tuple  # (lo, hi) rational interval
@@ -170,6 +172,8 @@ class SymbolTable:
     """
 
     def __init__(self, precision_bits: int = DEFAULT_PRECISION_BITS):
+        if precision_bits > MAX_PRECISION_BITS:
+            raise ValueError(f"precision budget above {MAX_PRECISION_BITS} bits")
         if precision_bits < _LADDER_START:
             precision_bits = _LADDER_START
         self.precision_bits = precision_bits
@@ -240,9 +244,6 @@ class SymbolTable:
         return idx
 
     # -- introspection ------------------------------------------------------
-
-    def symbol_names(self) -> list[str]:
-        return [s.name for s in self._symbols]
 
     def user_symbols(self) -> list[_Symbol]:
         return self._symbols[2:]

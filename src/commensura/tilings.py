@@ -15,16 +15,14 @@ in the construction, not bad input, and raises InternalInconsistency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
-from typing import Callable, Optional
+from typing import Optional
 
 from ._rat import Rat
-from .chords import SplicedRegion
 from .dehn import MeasureTiling
 from .errors import InternalInconsistency
-from .graph import Cycle, MetricGraph, germ_source, germ_target
+from .graph import BarTriple, Cycle, MetricGraph, germ_source
 from .scalars import (
     Area,
     Comparison,
@@ -156,8 +154,15 @@ class GeometricTiling:
 # ---------------------------------------------------------------------------
 
 
-def annulus_tiling(loop, chords, spliced: Optional[SplicedRegion] = None) -> GeometricTiling:
-    """Spliced rectangles first, then one square per directed chord.
+def annulus_tiling(loop, chords, bar: Optional[BarTriple] = None) -> GeometricTiling:
+    """The bar's two rectangles first, then one square per directed chord.
+
+    A bar loop (chords.bar_loop) crosses itself on its bar: the walk runs
+    over the bar during [l1, l1 + b] and back over it during [l - b, l],
+    where l1 is the first cycle's length, b the bar's and l the loop's.
+    The point pairs mapping to one bar point form the diagonal rectangle
+    centred at (l1 + b/2, l - b/2) with halves (PI, b + PI), plus its
+    mirror.  An embedded cycle (bar None) has none.
 
     Construction only; run verify_tiling to certify coverage.  The
     rectangle-first order is what the two-rectangle audit downstream
@@ -166,11 +171,15 @@ def annulus_tiling(loop, chords, spliced: Optional[SplicedRegion] = None) -> Geo
     table = loop.graph.table
     region = AnnulusRegion(loop.length)
     pieces = []
-    if spliced is not None:
-        for k, rect in enumerate(spliced.rectangles):
-            pieces.append(
-                DiamondPiece(f"spliced{k}", rect.center, rect.half_sum, rect.half_diff)
-            )
+    if bar is not None:
+        b = bar.length
+        if loop.length != bar.cycle1.length + bar.cycle2.length + b.scale(2):
+            raise ValueError("bar lengths do not add up to the loop length")
+        pi = table.pi()
+        half_b = b.scale(Rat(1, 2))
+        center = (bar.cycle1.length + half_b, loop.length - half_b)
+        for k, c in enumerate((center, center[::-1])):
+            pieces.append(DiamondPiece(f"spliced{k}", c, pi, b + pi))
     for k, ch in enumerate(chords):
         pieces.append(
             DiamondPiece(f"chord{k}", (ch.s.position, ch.t.position), ch.z, ch.z)
@@ -270,28 +279,27 @@ def psi_transform(t: GeometricTiling) -> GeometricTiling:
 # ---------------------------------------------------------------------------
 
 
-def _certified_floor(table: SymbolTable, value: Scalar, period: Scalar) -> int:
-    """Largest k with k*period <= value; float guess, exact confirmation."""
-    guess = float(table.approx(value)) / float(table.approx(period))
-    k = math.floor(guess)
+def _wrap(table: SymbolTable, value: Scalar, period: Scalar) -> Scalar:
+    """The representative of value modulo period in [0, period).
+
+    Whole periods are added or subtracted one at a time, each step decided
+    exactly, so the walk takes one step per period of distance between
+    value and the fundamental interval.  The coordinates built here lie
+    near that interval, so the walk is short; a hand-built piece placed far
+    outside the torus still reduces exactly, in more steps.
+    """
     zero = table.zero()
-    while True:
-        rest = value - period.scale(k)
-        if table.require(table.compare(rest, zero), "modular reduction undecidable") is Comparison.LESS:
-            k -= 1
-            continue
-        if table.require(table.compare(rest, period), "modular reduction undecidable") is not Comparison.LESS:
-            k += 1
-            continue
-        return k
+    while table.require(table.compare(value, zero), "modular reduction undecidable") is Comparison.LESS:
+        value = value + period
+    while table.require(table.compare(value, period), "modular reduction undecidable") is not Comparison.LESS:
+        value = value - period
+    return value
 
 
 def _runs_mod(table: SymbolTable, lo: Scalar, extent: Scalar, period: Scalar):
-    """Wrap [lo, lo+extent] into the fundamental interval [0, period]."""
-    if table.require(table.compare(extent, period), "piece larger than the torus") is Comparison.GREATER:
-        raise InternalInconsistency("piece extent exceeds the torus period")
-    k = _certified_floor(table, lo, period)
-    lo = lo - period.scale(k)
+    """Wrap [lo, lo+extent] into the fundamental interval [0, period];
+    the extent is at most one period."""
+    lo = _wrap(table, lo, period)
     hi = lo + extent
     if table.require(table.compare(hi, period), "wrap test undecidable") is Comparison.GREATER:
         return [(lo, period), (table.zero(), hi - period)]
@@ -324,7 +332,7 @@ class _Grid:
     boxes: list  # (piece_index, u_runs, v_runs) with runs as index pairs
     counts: list  # coverage per cell, counts[j][k]
     in_region: list  # per v-cell
-    strips: list  # region strips along v, as (lo, hi) scalars
+    strips: list  # region strips along v, as (lo, hi) v-cell index pairs
 
 
 def _piece_box(piece):
@@ -352,7 +360,7 @@ def _layout(t: GeometricTiling):
         def back(u, v):
             x = (u + v).scale(Rat(1, 2))
             y = (u - v).scale(Rat(1, 2))
-            return _reduce_point(table, (x, y), (l, l))
+            return (_wrap(table, x, l), _wrap(table, y, l))
 
         return (period, period), offsets, strips, back
     if isinstance(region, ProductRegion):
@@ -375,7 +383,7 @@ def _layout(t: GeometricTiling):
         def back(u, v):
             x = (u + v).scale(Rat(1, 2))
             y = (u - v).scale(Rat(1, 2))
-            return _reduce_point(table, (x, y), (l1, l2))
+            return (_wrap(table, x, l1), _wrap(table, y, l2))
 
         return (period, period), offsets, strips, back
     if isinstance(region, TorusRegion):
@@ -383,18 +391,10 @@ def _layout(t: GeometricTiling):
         strips = [(zero, period)]
 
         def back(u, v):
-            return _reduce_point(table, (u, v), (period, period))
+            return (_wrap(table, u, period), _wrap(table, v, period))
 
         return (period, period), [(zero, zero)], strips, back
     raise ValueError(f"unknown region {region!r}")
-
-
-def _reduce_point(table, point, periods):
-    out = []
-    for coord, period in zip(point, periods):
-        k = _certified_floor(table, coord, period)
-        out.append(coord - period.scale(k))
-    return tuple(out)
 
 
 def _build_grid(t: GeometricTiling):
@@ -403,6 +403,9 @@ def _build_grid(t: GeometricTiling):
     raw = []
     for index, piece in enumerate(t.pieces):
         u_lo, u_ext, v_lo, v_ext = _piece_box(piece)
+        for extent, period in ((u_ext, period_u), (v_ext, period_v)):
+            if table.require(table.compare(extent, period), "piece larger than the torus") is Comparison.GREATER:
+                raise InternalInconsistency("piece extent exceeds the torus period")
         for du, dv in offsets:
             u_runs = _runs_mod(table, u_lo + du, u_ext, period_u)
             v_runs = _runs_mod(table, v_lo + dv, v_ext, period_v)
@@ -442,10 +445,8 @@ def _build_grid(t: GeometricTiling):
             corner = counts[j - 1][k - 1] if j and k else 0
             counts[j][k] = diff[j][k] + up + left - corner
 
-    in_region = [False] * nv
-    for a, b in strips:
-        for k in range(v_index[a.key()], v_index[b.key()]):
-            in_region[k] = True
+    strips = [(v_index[a.key()], v_index[b.key()]) for a, b in strips]
+    in_region = [any(a <= k < b for a, b in strips) for k in range(nv)]
 
     return _Grid(t, u_breaks, v_breaks, boxes, counts, in_region, strips), back
 
@@ -556,15 +557,9 @@ def to_measure_tiling(
         raise ValueError("report does not carry the verified grid of this tiling")
     table = t.table
 
+    lo_idx, hi_idx = grid.strips[0]
     if isinstance(t.region, AnnulusRegion):
         factor = Rat(1, 2)
-        strip_lo, strip_hi = grid.strips[0]
-        lo_idx = next(
-            i for i, v in enumerate(grid.v_breaks) if v.key() == strip_lo.key()
-        )
-        hi_idx = next(
-            i for i, v in enumerate(grid.v_breaks) if v.key() == strip_hi.key()
-        )
         chosen = {}
         for index, u_idx, v_idx in grid.boxes:
             if len(v_idx) != 1:
@@ -578,7 +573,6 @@ def to_measure_tiling(
             raise InternalInconsistency("piece missing from the principal strip")
     else:
         factor = Rat(1)
-        lo_idx, hi_idx = 0, len(grid.v_breaks) - 1
         chosen = None
 
     x_elems = [

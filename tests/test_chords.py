@@ -10,19 +10,17 @@ from fractions import Fraction
 import pytest
 
 from commensura.chords import (
-    BarShape,
     ImmersedLoop,
     bar_loop,
-    bar_shape_of,
     chord_budgets,
     chords_of_loop,
     chords_of_subgraph,
     loop_from_cycle,
-    spliced_region,
 )
 from commensura.errors import InternalInconsistency
 from commensura.graph import Subgraph, bars_of, cycles_of, girth
 from commensura.scalars import Comparison, Scalar
+from commensura.tilings import annulus_tiling
 
 from test_graph import build, circle
 
@@ -160,11 +158,6 @@ def test_bar_loop_visits_endpoints_twice():
     ]
     a0, a1 = loop.visits[0], loop.visits[1]
     assert set(a0.germs) != set(a1.germs)
-    assert loop.bar_meta == {
-        "l1": g.table.rational(3),
-        "b": g.table.rational(1),
-        "l2": g.table.rational(3),
-    }
 
 
 def test_loop_rejects_broken_walk():
@@ -363,73 +356,60 @@ def test_chord_budget_tight_on_octagon():
 
 
 # ---------------------------------------------------------------------------
-# spliced regions
+# spliced rectangles
 # ---------------------------------------------------------------------------
 
 
-def test_embedded_cycle_has_empty_spliced_region():
+def test_embedded_cycle_has_no_spliced_rectangles():
     g = circle(6, {1: Fraction(1, 3)})
     (cyc,) = cycles_of(g.whole())
-    region = spliced_region(loop_from_cycle(g, cyc))
-    assert region.rectangles == ()
+    assert annulus_tiling(loop_from_cycle(g, cyc), []).pieces == ()
 
 
-def dumbbell_pi_loops(bar_len):
+def dumbbell_pi_loops(bar_len, loops=(2, 2)):
     return build(
         [
-            ("la", "a", "a", {1: 2}),
+            ("la", "a", "a", {1: loops[0]}),
             ("ab", "a", "b", {1: bar_len}),
-            ("lb", "b", "b", {1: 2}),
+            ("lb", "b", "b", {1: loops[1]}),
         ]
     )
 
 
 def test_bar_spliced_rectangles_from_pass_positions():
-    g = dumbbell_pi_loops(Fraction(1, 3))
+    # unequal cycles, so the first pass start is pinned to the first cycle
+    g = dumbbell_pi_loops(Fraction(1, 3), loops=(2, 3))
     (bar,) = bars_of(g.whole())
     loop = bar_loop(g, bar)
-    shape = bar_shape_of(loop)
     table = g.table
     pi = table.pi()
-    assert shape.bar_length == table.pi(Fraction(1, 3))
-    assert shape.first_pass_start == table.pi(2)
-    assert shape.second_pass_end == loop.length
+    b = table.pi(Fraction(1, 3))
+    assert (bar.cycle1.length, bar.length, bar.cycle2.length) == (table.pi(2), b, table.pi(3))
+    assert loop.length == table.pi(Fraction(17, 3))
 
-    region = spliced_region(loop, shape)
-    assert len(region.rectangles) == 2
-    first, second = region.rectangles
-    s1, s2 = shape.first_pass_start, shape.second_pass_end
-    b = shape.bar_length
-    assert first.corners == (
-        (s1 - pi, s2),
-        (s1, s2 + pi),
-        (s1 + b + pi, s2 - b),
-        (s1 + b, s2 - b - pi),
-    )
-    # the mirror swaps coordinates pointwise
-    assert second.corners == tuple((y, x) for x, y in first.corners)
-    for rect in region.rectangles:
-        assert rect.half_sum == pi
-        assert rect.half_diff == b + pi
+    first, second = annulus_tiling(loop, [], bar).pieces[:2]
+    assert (first.label, second.label) == ("spliced0", "spliced1")
+    # the walk crosses the bar during [s1, s1 + b] and again, backwards,
+    # during [s2 - b, s2]; the centre is (s1 + b/2, s2 - b/2)
+    s1, s2 = table.pi(2), loop.length
+    assert first.center == (table.pi(Fraction(13, 6)), table.pi(Fraction(11, 2)))
+    # the mirror swaps coordinates
+    assert second.center == first.center[::-1]
+    for rect in (first, second):
+        assert rect.halves == (pi, b + pi)
+        assert rect.shape == "rectangle"
         assert rect.area() == (pi * (b + pi)).scale(2)
-    cx, cy = first.center
-    assert cx == s1 + b.scale(Fraction(1, 2))
-    assert cy == s2 - b.scale(Fraction(1, 2))
+    # the corners of the crossing locus are the corners of the first box
+    cu, cv = first.center[0] + first.center[1], first.center[0] - first.center[1]
+    for x, y in ((s1 - pi, s2), (s1, s2 + pi), (s1 + b + pi, s2 - b), (s1 + b, s2 - b - pi)):
+        du, dv = x + y - cu, x - y - cv
+        assert {du, -du} == {pi, -pi}
+        assert {dv, -dv} == {b + pi, -(b + pi)}
 
 
-def test_spliced_region_validates_lengths():
+def test_bar_rectangles_validate_lengths():
     g = dumbbell_pi_loops(Fraction(1, 3))
     (bar,) = bars_of(g.whole())
-    loop = bar_loop(g, bar)
-    shape = bar_shape_of(loop)
-    bad = BarShape(
-        shape.bar_length,
-        shape.first_cycle_length,
-        shape.second_cycle_length + g.table.rational(1),
-        shape.first_pass_start,
-        shape.second_pass_end,
-    )
+    cycle = next(iter(cycles_of(g.whole())))
     with pytest.raises(ValueError):
-        spliced_region(loop, bad)
-    with pytest.raises(ValueError):
-        bar_shape_of(loop_from_cycle(g, next(iter(cycles_of(g.whole())))))
+        annulus_tiling(loop_from_cycle(g, cycle), [], bar)

@@ -318,6 +318,23 @@ def test_dehn_audit_failure_exits_3(capsys, tmp_path):
     assert "audit failure" in out
 
 
+@pytest.mark.parametrize(
+    "total, designated, culprit",
+    [("1/0", "2", "--total"), ("x", "2", "--total"), ("6", "x", "--designated")],
+    ids=["total-zero-denominator", "total-not-rational", "designated-not-integer"],
+)
+def test_dehn_two_parameter_malformed_numbers_are_usage_errors(
+    capsys, tmp_path, total, designated, culprit
+):
+    path = write(tmp_path, "plus.mt", PLUS_CONFORMING)
+    code, _, err = run(
+        capsys, "dehn", path,
+        "--q", "1/2", "--r", "1", "--total", total, "--designated", designated,
+    )
+    assert code == 1
+    assert err.startswith(f"error: {culprit}")
+
+
 # ---------------------------------------------------------------------------
 # decompose / gen
 # ---------------------------------------------------------------------------
@@ -367,9 +384,33 @@ def test_gen_bad_param_syntax(capsys):
     assert "key=value" in err
 
 
+def test_gen_oversized_graph_is_usage_error(capsys, monkeypatch):
+    from commensura.graph import MetricGraph
+
+    def add_vertex(self, v):
+        raise AssertionError("a vertex was added before the size check")
+
+    monkeypatch.setattr(MetricGraph, "add_vertex", add_vertex)
+    code, _, err = run(capsys, "gen", "circle", "edges=100000000")
+    assert code == 1
+    assert "100000000 edges" in err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_precision_bits_above_the_limit_is_usage_error(capsys, tmp_path, where):
+    path = write(tmp_path, "circle.graph", generate("circle", length="2*PI"))
+    flag = ("--precision-bits", "65537")
+    argv = [*flag, "check", path] if where == "before" else ["check", path, *flag]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "65536" in err
+    code, _, _ = run(capsys, "check", path, "--precision-bits", "65536")
+    assert code == 0
 
 
 def test_missing_file_is_input_error(capsys):

@@ -14,6 +14,7 @@ from commensura.engine import (
     check_hypotheses,
     decompose_segment,
 )
+from commensura import generators
 from commensura.errors import InternalInconsistency, NonpositiveLength
 from commensura.linalg import solve
 from commensura.generators import (
@@ -128,6 +129,30 @@ def test_perturb_adds_to_one_edge_only():
         perturb_graph(base, "nope", "1")
     with pytest.raises(NonpositiveLength):
         perturb_graph(base, "e0", "-2")
+
+
+@pytest.mark.parametrize(
+    "name, params, edges",
+    [
+        ("circle", {"edges": 100_001}, 100_001),
+        ("theta", {"strands": 100_001}, 100_001),
+        ("incidence_pg", {"q": 47}, (47 * 47 + 47 + 1) * 48),
+    ],
+)
+def test_generators_refuse_oversized_graphs_before_building(monkeypatch, name, params, edges):
+    def add_vertex(self, v):
+        raise AssertionError("a vertex was added before the size check")
+
+    monkeypatch.setattr(MetricGraph, "add_vertex", add_vertex)
+    with pytest.raises(ValueError, match=f"{edges} edges"):
+        build(name, **params)
+
+
+def test_generator_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_EDGES", 5)
+    assert len(build("theta", strands=5).edges) == 5
+    with pytest.raises(ValueError):
+        build("theta", strands=6)
 
 
 def test_build_rejects_unknown_generator():

@@ -282,6 +282,12 @@ def test_area_rejects_further_products(table):
         (table.pi() * table.pi()) * table.pi()
 
 
+def test_precision_budget_is_bounded():
+    assert SymbolTable(precision_bits=65536).precision_bits == 65536
+    with pytest.raises(ValueError):
+        SymbolTable(precision_bits=65537)
+
+
 def test_approx_midpoint(table):
     mid = table.approx(table.pi())
     assert Fraction(mid.numerator, mid.denominator) == pytest.approx(3.14159265, abs=1e-6)

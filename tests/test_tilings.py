@@ -12,12 +12,15 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commensura.chords import chords_of_loop, chords_of_subgraph, loop_from_cycle, spliced_region, bar_loop, bar_shape_of
+from commensura._rat import Rat
+from commensura.chords import chords_of_loop, chords_of_subgraph, loop_from_cycle, bar_loop
 from commensura.dehn import CommensurableVerdict, dehn_test, verify_measure_tiling
-from commensura.errors import InternalInconsistency
+from commensura.errors import InternalInconsistency, PrecisionExhausted
 from commensura.graph import bars_of, cycles_of
-from commensura.scalars import SymbolTable, format_area
+from commensura.scalars import Scalar, SymbolTable, commensurable, format_area
 from commensura.tilings import (
     AnnulusRegion,
     AxisPiece,
@@ -27,6 +30,7 @@ from commensura.tilings import (
     annulus_tiling,
     product_tiling,
     psi_transform,
+    _wrap,
     serialize_tiling,
     to_measure_tiling,
     verify_tiling,
@@ -54,7 +58,7 @@ def octagon_tiling():
     cyc = next(c for c in cycles_of(g.whole()) if c.edge_ids == ring.edge_set)
     loop = loop_from_cycle(g, cyc)
     chords = chords_of_loop(loop)
-    return g, annulus_tiling(loop, chords, spliced_region(loop))
+    return g, annulus_tiling(loop, chords)
 
 
 def scalar_sum(table, items):
@@ -70,7 +74,7 @@ def test_hexagon_annulus_is_degenerate_and_ok():
     g = circle(6, {1: Fraction(1, 3)})
     (cyc,) = cycles_of(g.whole())
     loop = loop_from_cycle(g, cyc)
-    t = annulus_tiling(loop, chords_of_loop(loop), spliced_region(loop))
+    t = annulus_tiling(loop, chords_of_loop(loop))
     assert t.pieces == ()
     rep = verify_tiling(t)
     assert rep.ok
@@ -135,10 +139,16 @@ def test_piece_outside_the_region_is_a_protrusion():
     assert circ(pi_coeff(wx), pi_coeff(wy), l) < 1
 
 
-@pytest.mark.parametrize("shift", [Fraction(1, 7), Fraction(5, 3)])
+# (rational part, whole loop lengths): a rational shift is not a pi multiple
+# and mixes symbols; whole loop lengths put the centres periods away from the
+# torus
+@pytest.mark.parametrize(
+    "shift", [(Fraction(1, 7), 0), (Fraction(5, 3), 0), (0, 3), (0, -2)]
+)
 def test_verify_invariant_under_reorder_and_rotation(shift):
     g, t = octagon_tiling()
-    delta = g.table.rational(shift)  # not a pi multiple: mixes symbols
+    rational, loops = shift
+    delta = g.table.rational(rational) + t.region.length.scale(loops)
     moved = [
         DiamondPiece(p.label, (p.center[0] + delta, p.center[1] + delta), p.half_sum, p.half_diff)
         for p in t.pieces
@@ -155,11 +165,65 @@ def test_unspliced_bar_loop_gaps():
     (bar,) = bars_of(g.whole())
     loop = bar_loop(g, bar)
     assert chords_of_loop(loop) == []
-    t = annulus_tiling(loop, [], spliced_region(loop, bar_shape_of(loop)))
+    t = annulus_tiling(loop, [], bar)
     assert len(t.pieces) == 2
     assert all(p.shape == "rectangle" for p in t.pieces)
     rep = verify_tiling(t)
     assert rep.status == "gap"
+
+
+# ---------------------------------------------------------------------------
+# exact modular reduction
+# ---------------------------------------------------------------------------
+#
+# Symbols: 0 the unit, 1 PI and 2 "h", a decimal symbol 5/2 +- 1/100.  A
+# reduction decided within the budget must hold for every h in that range;
+# PI is taken from mpmath at 400 bits.
+
+_H, _H_RADIUS = Fraction(5, 2), Fraction(1, 100)
+_coeff = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+_PERIODS = [
+    {1: 2},
+    {0: 3},
+    {1: Fraction(8, 3)},
+    {0: 1, 1: 1},
+    {2: 1},
+    {1: 1, 2: Fraction(-1, 2)},
+]
+
+
+@given(
+    a=_coeff,
+    b=_coeff,
+    d=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    period=st.sampled_from(_PERIODS),
+    whole=st.integers(min_value=-6, max_value=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_wrap_lands_in_the_fundamental_interval(a, b, d, period, whole):
+    mpmath = pytest.importorskip("mpmath")
+    table = SymbolTable()
+    table.declare_decimal_symbol("h", _H, _H_RADIUS)
+    p = Scalar(table, {k: Rat(c) for k, c in period.items()})
+    # whole periods on top, so exact multiples (a = b = d = 0) come up
+    value = Scalar(table, {k: Rat(c) for k, c in {0: a, 1: b, 2: d}.items() if c})
+    value = value + p.scale(whole)
+    try:
+        r = _wrap(table, value, p)
+    except PrecisionExhausted:
+        return  # undecided within the budget: nothing is claimed
+    # value - r is a whole number of periods, exactly
+    k = commensurable(p, value - r)
+    assert k is not None and k.denominator == 1
+
+    def at(s, h):
+        c = {i: mpmath.mpf(q.numerator) / q.denominator for i, q in s.coeffs.items()}
+        return c.get(0, 0) + c.get(1, 0) * mpmath.pi + c.get(2, 0) * h
+
+    with mpmath.workprec(400):
+        for h in (_H - _H_RADIUS, _H + _H_RADIUS):
+            h = mpmath.mpf(h.numerator) / h.denominator
+            assert 0 <= at(r, h) < at(p, h)
 
 
 # ---------------------------------------------------------------------------
