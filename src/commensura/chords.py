@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rat import Rat
+from ._rat import Rat, rat_str
 from .errors import InternalInconsistency
 from .graph import (
     BarTriple,
@@ -28,7 +28,12 @@ from .graph import (
     germ_target,
     reverse_germ,
 )
-from .scalars import Area, Comparison, Scalar, sum_terms
+from .scalars import Area, Comparison, Scalar, format_scalar, pi_ratio, sum_terms
+
+
+def _ratio_text(distance: Scalar):
+    r = pi_ratio(distance)
+    return None if r is None else rat_str(r)
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,17 @@ class Chord:
     def square_area(self) -> Area:
         return (self.z * self.z).scale(2)
 
+    def as_report(self) -> dict:
+        return {
+            "source": self.s.vertex,
+            "source_position": format_scalar(self.s.position),
+            "target": self.t.vertex,
+            "target_position": format_scalar(self.t.position),
+            "distance": format_scalar(self.distance),
+            "pi_ratio": _ratio_text(self.distance),
+            "side": format_scalar(self.z),
+        }
+
 
 def _geodesic_between(graph, trees, x: str, y: str, pi: Scalar):
     """Distance test against pi plus the canonical geodesic; None when the
@@ -161,6 +177,15 @@ class SubgraphChord:
 
     def square_area(self) -> Area:
         return (self.z * self.z).scale(2)
+
+    def as_report(self) -> dict:
+        return {
+            "source": self.x,
+            "target": self.y,
+            "distance": format_scalar(self.distance),
+            "pi_ratio": _ratio_text(self.distance),
+            "side": format_scalar(self.z),
+        }
 
 
 def chords_of_subgraph(graph: MetricGraph, sub: Subgraph) -> list[SubgraphChord]:

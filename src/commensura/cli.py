@@ -45,16 +45,18 @@ from .graph import (
     parse_graph,
     segments_of,
 )
-from .scalars import MAX_PRECISION_BITS, format_area, format_scalar, parse_scalar, pi_ratio
+from .scalars import MAX_PRECISION_BITS, format_scalar, parse_scalar
 from .tilings import (
-    AnnulusRegion,
-    ProductRegion,
     annulus_tiling,
     product_tiling,
-    psi_transform,
     serialize_tiling,
+    tiling_payload,
+    torus_form,
     verify_tiling,
 )
+
+# plotted values are floats: digits past about 17 significant figures are noise
+MAX_PLOT_DIGITS = 17
 
 
 class UsageError(Exception):
@@ -309,24 +311,6 @@ def _cmd_analyze(args) -> int:
     return 2 if result.failure["kind"] == "hypothesis-violation" else 3
 
 
-def _chord_dicts(chords):
-    out = []
-    for ch in chords:
-        r = pi_ratio(ch.distance)
-        out.append(
-            {
-                "source": ch.s.vertex,
-                "source_position": format_scalar(ch.s.position),
-                "target": ch.t.vertex,
-                "target_position": format_scalar(ch.t.position),
-                "distance": format_scalar(ch.distance),
-                "pi_ratio": None if r is None else str(r),
-                "side": format_scalar(ch.z),
-            }
-        )
-    return out
-
-
 def _cmd_chords(args) -> int:
     graph = _load_graph(args)
     cycle = _find_cycle(graph, args.loop, args.cycle_cap)
@@ -336,7 +320,7 @@ def _cmd_chords(args) -> int:
         "kind": "chords",
         "loop": [g[0].id for g in cycle.steps],
         "length": format_scalar(cycle.length),
-        "chords": _chord_dicts(chords),
+        "chords": [ch.as_report() for ch in chords],
     }
     lines = [f"loop {','.join(payload['loop'])} of length {payload['length']}"]
     for c in payload["chords"]:
@@ -350,108 +334,33 @@ def _cmd_chords(args) -> int:
     return 0
 
 
-def _region_dict(region) -> dict:
-    if isinstance(region, AnnulusRegion):
-        return {"kind": "annulus", "length": format_scalar(region.length)}
-    if isinstance(region, ProductRegion):
-        return {
-            "kind": "product",
-            "length1": format_scalar(region.length1),
-            "length2": format_scalar(region.length2),
-        }
-    return {
-        "kind": "torus",
-        "length": format_scalar(region.length),
-        "lifts": [int(n) for n in region.lift_counts],
-    }
-
-
-def _tiling_payload(tiling, report) -> dict:
-    pieces = []
-    for piece in tiling.pieces:
-        pieces.append(
-            {
-                "label": piece.label,
-                "kind": piece.shape,
-                "center": [format_scalar(piece.center[0]), format_scalar(piece.center[1])],
-                "halves": [format_scalar(h) for h in piece.halves],
-            }
-        )
-    return {
-        "kind": "tiling",
-        "region": _region_dict(tiling.region),
-        "pieces": pieces,
-        "verdict": {
-            "status": report.status,
-            "witness": None
-            if report.witness is None
-            else [format_scalar(report.witness[0]), format_scalar(report.witness[1])],
-            "pieces": list(report.pieces),
-            "tiled_area": format_area(report.tiled_area),
-            "region_area": format_area(report.region_area),
-        },
-    }
-
-
 def _cmd_tile(args) -> int:
     graph = _load_graph(args)
     if (args.loop is None) == (args.pair is None):
         raise UsageError("tile needs exactly one of --loop or --pair")
-    exports = []
     if args.loop is not None:
         cycle = _find_cycle(graph, args.loop, args.cycle_cap)
         loop = loop_from_cycle(graph, cycle)
         tiling = annulus_tiling(loop, chords_of_loop(loop))
         report = verify_tiling(tiling)
-        payload = _tiling_payload(tiling, report)
-        human = serialize_tiling(tiling, report)
-        exports.append(("annulus", tiling))
-        ok = report.ok
+        chain = [("annulus", tiling, report)]
+        payload = tiling_payload(tiling, report)
     else:
         c1 = _find_cycle(graph, args.pair[0], args.cycle_cap)
         c2 = _find_cycle(graph, args.pair[1], args.cycle_cap)
         if c1.vertices & c2.vertices:
             raise UsageError("the two cycles are not disjoint")
         union = Subgraph(graph, tuple(sorted(c1.edge_ids | c2.edge_ids)))
-        chords = chords_of_subgraph(graph, union)
-        product = product_tiling(graph, c1, c2, chords)
-        product_report = verify_tiling(product)
-        exports.append(("product", product))
-        if product_report.ok:
-            axis = psi_transform(product)
-            axis_report = verify_tiling(axis)
-            exports.append(("axis", axis))
-            payload = {
-                "kind": "tiling-chain",
-                "product": _tiling_payload(product, product_report),
-                "axis": _tiling_payload(axis, axis_report),
-            }
-            human = (
-                serialize_tiling(product, product_report)
-                + "\n"
-                + serialize_tiling(axis, axis_report)
-            )
-            ok = axis_report.ok
-        else:
-            payload = {
-                "kind": "tiling-chain",
-                "product": _tiling_payload(product, product_report),
-                "axis": None,
-            }
-            human = serialize_tiling(product, product_report)
-            ok = False
-    _emit(args, payload, human)
-    _write_plot(args, graph.table, exports)
-    return 0 if ok else 3
-
-
-def _measure_verdict_dict(v) -> dict:
-    return {
-        "status": v.status,
-        "x_index": v.x_index,
-        "y_index": v.y_index,
-        "pieces": list(v.piece_indices),
-    }
+        product = product_tiling(graph, c1, c2, chords_of_subgraph(graph, union))
+        report = verify_tiling(product)
+        chain = [("product", product, report)]
+        if report.ok:
+            chain.append(("axis", *torus_form(report)))
+        payload = {"kind": "tiling-chain", "axis": None}
+        payload.update((name, tiling_payload(t, r)) for name, t, r in chain)
+    _emit(args, payload, "\n".join(serialize_tiling(t, r) for _, t, r in chain))
+    _write_plot(args, graph.table, [(name, t) for name, t, _ in chain])
+    return 0 if report.ok else 3
 
 
 def _cmd_dehn(args) -> int:
@@ -462,7 +371,7 @@ def _cmd_dehn(args) -> int:
     skip = frozenset({0, 1}) if plus else frozenset()
     verdict = verify_measure_tiling(tiling, skip_square=skip)
     lines = [f"verify: {verdict.status}"]
-    payload = {"kind": "dehn", "verify": _measure_verdict_dict(verdict)}
+    payload = {"kind": "dehn", "verify": verdict.as_report()}
     ok = verdict.ok
 
     if plus:
@@ -488,46 +397,24 @@ def _cmd_dehn(args) -> int:
             payload["dehn_plus"] = {"verdict": "audit-failure", "clause": exc.clause, "detail": str(exc)}
             _emit(args, payload, "\n".join(lines + [f"audit failure: {exc}"]))
             return 3
+        payload["dehn_plus"] = result.as_report()
         if isinstance(result, QRCommensurable):
-            payload["dehn_plus"] = {"verdict": "qr-commensurable", "ratio": str(result.ratio)}
             lines.append(f"q = {result.ratio} * r")
             _emit(args, payload, "\n".join(lines))
             return 0 if ok else 3
-        payload["dehn_plus"] = {
-            "verdict": "certificate",
-            "functional": {str(k): str(v) for k, v in sorted(result.functional.items())},
-            "f_mu_x": str(result.f_mu_x),
-            "f_mu_y": str(result.f_mu_y),
-            "rect_products": [str(x) for x in result.rect_products],
-            "designated_square_sum": str(result.designated_square_sum),
-            "designated_bound": str(result.designated_bound),
-            "violated": _measure_verdict_dict(result.violated),
-        }
         lines.append("q and r are incommensurable; separating functional found")
         lines.append(f"  violated axiom: {result.violated.status}")
         _emit(args, payload, "\n".join(lines))
         return 3
 
     result = dehn_test(tiling)
+    payload["dehn"] = result.as_report()
     if isinstance(result, CommensurableVerdict):
-        payload["dehn"] = {
-            "verdict": "commensurable",
-            "base": format_scalar(result.base),
-            "x_ratios": [str(r) for r in result.x_ratios],
-            "y_ratios": [str(r) for r in result.y_ratios],
-        }
         lines.append(f"all side measures are rational multiples of {format_scalar(result.base)}")
         lines.append(f"  x ratios: {', '.join(str(r) for r in result.x_ratios)}")
         lines.append(f"  y ratios: {', '.join(str(r) for r in result.y_ratios)}")
         _emit(args, payload, "\n".join(lines))
         return 0 if ok else 3
-    payload["dehn"] = {
-        "verdict": "certificate",
-        "functional": {str(k): str(v) for k, v in sorted(result.functional.items())},
-        "lhs": str(result.lhs),
-        "piece_products": [str(x) for x in result.piece_products],
-        "violated": _measure_verdict_dict(result.violated),
-    }
     lines.append("sides are incommensurable; separating functional found")
     lines.append(f"  f(width) * f(height) = {result.lhs}, yet every piece contributes a square")
     lines.append(f"  violated axiom: {result.violated.status}")
@@ -589,6 +476,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.precision_bits > MAX_PRECISION_BITS:
             raise UsageError(f"--precision-bits is at most {MAX_PRECISION_BITS}")
+        if not 0 <= args.plot_digits <= MAX_PLOT_DIGITS:
+            raise UsageError(f"--plot-digits must lie in 0..{MAX_PLOT_DIGITS}")
+        if args.cycle_cap < 0:
+            raise UsageError("--cycle-cap must not be negative")
         if args.export_plot is not None and args.command not in ("tile", "analyze"):
             raise UsageError("--export-plot only applies to tile and analyze")
         return _HANDLERS[args.command](args)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._rat import Rat, as_rat
+from ._rat import Rat, as_rat, rat_str
 from .errors import AuditFailure, GraphFormatError, InternalInconsistency
 from .linalg import solve
 from .scalars import (
@@ -34,6 +34,7 @@ from .scalars import (
     commensurable,
     compare_area,
     format_compact,
+    format_scalar,
     parse_scalar,
     sum_terms,
 )
@@ -97,6 +98,18 @@ class MeasureVerdict:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    def as_report(self) -> dict:
+        return {
+            "status": self.status,
+            "x_index": self.x_index,
+            "y_index": self.y_index,
+            "pieces": list(self.piece_indices),
+        }
+
+
+def _functional_report(f: dict[int, Rat]) -> dict:
+    return {str(k): rat_str(v) for k, v in sorted(f.items())}
 
 
 def verify_measure_tiling(t: MeasureTiling, skip_square: frozenset[int] = frozenset()) -> MeasureVerdict:
@@ -180,6 +193,14 @@ class CommensurableVerdict:
     x_ratios: list[Rat]
     y_ratios: list[Rat]
 
+    def as_report(self) -> dict:
+        return {
+            "verdict": "commensurable",
+            "base": format_scalar(self.base),
+            "x_ratios": [rat_str(r) for r in self.x_ratios],
+            "y_ratios": [rat_str(r) for r in self.y_ratios],
+        }
+
 
 @dataclass
 class DehnCertificate:
@@ -189,6 +210,15 @@ class DehnCertificate:
     lhs: Rat  # f(muX) * f(muY)
     piece_products: list[Rat]  # f(muA_i) * f(muB_i)
     violated: MeasureVerdict
+
+    def as_report(self) -> dict:
+        return {
+            "verdict": "certificate",
+            "functional": _functional_report(self.functional),
+            "lhs": rat_str(self.lhs),
+            "piece_products": [rat_str(x) for x in self.piece_products],
+            "violated": self.violated.as_report(),
+        }
 
 
 def _canonical_base(table: SymbolTable, sample: Scalar) -> Scalar:
@@ -257,6 +287,9 @@ def dehn_test(t: MeasureTiling):
 class QRCommensurable:
     ratio: Rat  # q as a multiple of r
 
+    def as_report(self) -> dict:
+        return {"verdict": "qr-commensurable", "ratio": rat_str(self.ratio)}
+
 
 @dataclass
 class DehnPlusCertificate:
@@ -267,6 +300,18 @@ class DehnPlusCertificate:
     designated_square_sum: Rat  # sum of rho_i^2
     designated_bound: Rat  # a - 4, strictly exceeded
     violated: MeasureVerdict
+
+    def as_report(self) -> dict:
+        return {
+            "verdict": "certificate",
+            "functional": _functional_report(self.functional),
+            "f_mu_x": rat_str(self.f_mu_x),
+            "f_mu_y": rat_str(self.f_mu_y),
+            "rect_products": [rat_str(x) for x in self.rect_products],
+            "designated_square_sum": rat_str(self.designated_square_sum),
+            "designated_bound": rat_str(self.designated_bound),
+            "violated": self.violated.as_report(),
+        }
 
 
 def dehn_plus_test(t: MeasureTiling, q: Scalar, r: Scalar, a, designated: Sequence[int]):
@@ -380,19 +425,23 @@ def parse_measure_tiling(text: str, precision_bits: int | None = None) -> Measur
                     raise ValueError("expected 'space X|Y name=<scalar> ...'")
                 if parts[1] in spaces:
                     raise ValueError(f"duplicate space {parts[1]}")
-                elems = []
+                elems = {}
                 for item in parts[2:]:
                     name, _, lit = item.partition("=")
                     if not lit:
                         raise ValueError(f"expected name=value, got {item!r}")
-                    elems.append((name, parse_scalar(table, lit)))
-                spaces[parts[1]] = elems
+                    if name in elems:
+                        raise ValueError(f"duplicate element {name} in space {parts[1]}")
+                    elems[name] = parse_scalar(table, lit)
+                spaces[parts[1]] = list(elems.items())
             elif parts[0] == "piece":
                 sides = {}
                 for item in parts[1:]:
                     side, _, names = item.partition("=")
                     if side not in ("A", "B") or not names.startswith("{") or not names.endswith("}"):
                         raise ValueError(f"expected A={{...}} B={{...}}, got {item!r}")
+                    if side in sides:
+                        raise ValueError(f"piece repeats side {side}")
                     inner = names[1:-1]
                     sides[side] = [n for n in inner.split(",") if n] if inner else []
                 if set(sides) != {"A", "B"}:

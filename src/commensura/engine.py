@@ -66,8 +66,8 @@ from .tilings import (
     TilingReport,
     annulus_tiling,
     product_tiling,
-    psi_transform,
     to_measure_tiling,
+    torus_form,
     verify_tiling,
 )
 
@@ -192,18 +192,7 @@ class CycleAnalysis:
             "edges": [g[0].id for g in self.cycle.steps],
             "length": format_scalar(self.cycle.length),
             "pi_ratio": rat_str(self.ratio),
-            "chords": [
-                {
-                    "source": ch.s.vertex,
-                    "source_position": format_scalar(ch.s.position),
-                    "target": ch.t.vertex,
-                    "target_position": format_scalar(ch.t.position),
-                    "distance": format_scalar(ch.distance),
-                    "pi_ratio": rat_str(r),
-                    "side": format_scalar(ch.z),
-                }
-                for ch, r in zip(self.chords, self.chord_ratios)
-            ],
+            "chords": [ch.as_report() for ch in self.chords],
             "tiling": self.tiling_report.status,
             "avoidance_bounds": [
                 {
@@ -310,25 +299,11 @@ class PairAnalysis:
         return {
             "cycle1": [g[0].id for g in self.cycle1.steps],
             "cycle2": [g[0].id for g in self.cycle2.steps],
-            "chords": [
-                {
-                    "source": ch.x,
-                    "target": ch.y,
-                    "distance": format_scalar(ch.distance),
-                    "pi_ratio": rat_str(r),
-                    "side": format_scalar(ch.z),
-                }
-                for ch, r in zip(self.chords, self.chord_ratios)
-            ],
+            "chords": [ch.as_report() for ch in self.chords],
             "product_tiling": self.product_report.status,
             "lift_counts": [int(n) for n in self.lift_counts],
             "axis_tiling": self.axis_report.status,
-            "dehn": {
-                "verdict": "commensurable",
-                "base": format_scalar(self.verdict.base),
-                "x_ratios": [rat_str(r) for r in self.verdict.x_ratios],
-                "y_ratios": [rat_str(r) for r in self.verdict.y_ratios],
-            },
+            "dehn": self.verdict.as_report(),
         }
 
 
@@ -354,10 +329,7 @@ def analyze_cycle_pair(graph: MetricGraph, cycle1: Cycle, cycle2: Cycle) -> Pair
         raise InternalInconsistency(
             f"product tiling of the pair failed: {product_report.status}"
         )
-    axis = psi_transform(product)
-    axis_report = verify_tiling(axis)
-    if not axis_report.ok:
-        raise InternalInconsistency(f"axis tiling of the pair failed: {axis_report.status}")
+    axis, axis_report = torus_form(product_report)
     measure = to_measure_tiling(axis, axis_report)
     verdict = dehn_test(measure)
     if not isinstance(verdict, CommensurableVerdict):
@@ -417,10 +389,7 @@ class BarAnalysis:
             "designated": list(self.designated),
             "designated_cross": self.designated_cross,
             "tiling": self.tiling_report.status,
-            "dehn_plus": {
-                "verdict": "qr-commensurable",
-                "ratio": rat_str(self.verdict.ratio),
-            },
+            "dehn_plus": self.verdict.as_report(),
         }
 
 

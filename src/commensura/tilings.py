@@ -6,11 +6,15 @@ v = x - y it becomes axis-aligned, so coverage checking reduces to exact
 interval bookkeeping over the common refinement grid of all box edges.
 The rotated coordinate lattice has index two in the plain one; running
 the check on a doubled torus (both periods twice the loop length, every
-piece contributing two translates) accounts for that exactly.
+piece contributing two translates) accounts for that exactly.  A product
+tiling is checked on its torus form only, where the shear already
+accounts for it.
 
 Verification decides coverage first and then confirms the area identity;
 a tiling that covers cleanly but sums to the wrong area indicates a bug
 in the construction, not bad input, and raises InternalInconsistency.
+
+This module also owns the tiling report formats, text and JSON.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .scalars import (
     commensurable,
     format_area,
     format_compact,
+    format_scalar,
     sum_terms,
 )
 
@@ -38,6 +43,10 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 # regions and pieces
 # ---------------------------------------------------------------------------
+
+
+# Each region names its kind and lists its (name, value) fields, values
+# being Scalars or a lift-count pair; both report encoders read only these.
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,7 @@ class AnnulusRegion:
     v = x - y mod l in [pi, l - pi]; it is empty exactly when l = 2*pi.
     """
 
+    kind = "annulus"
     length: Scalar
 
     def __post_init__(self):
@@ -63,6 +73,9 @@ class AnnulusRegion:
     def table(self) -> SymbolTable:
         return self.length.table
 
+    def fields(self) -> tuple:
+        return (("length", self.length),)
+
     def area(self) -> Area:
         return self.length * (self.length - self.table.pi(2))
 
@@ -71,12 +84,16 @@ class AnnulusRegion:
 class ProductRegion:
     """Full product of two cycle circles."""
 
+    kind = "product"
     length1: Scalar
     length2: Scalar
 
     @property
     def table(self) -> SymbolTable:
         return self.length1.table
+
+    def fields(self) -> tuple:
+        return (("length1", self.length1), ("length2", self.length2))
 
     def area(self) -> Area:
         return self.length1 * self.length2
@@ -87,12 +104,16 @@ class TorusRegion:
     """Square torus with both periods equal; lift_counts records how many
     copies of the original cycles one period holds."""
 
+    kind = "torus"
     length: Scalar
     lift_counts: tuple
 
     @property
     def table(self) -> SymbolTable:
         return self.length.table
+
+    def fields(self) -> tuple:
+        return (("length", self.length), ("lifts", self.lift_counts))
 
     def area(self) -> Area:
         return self.length * self.length
@@ -233,11 +254,12 @@ def _lift_counts(region: ProductRegion):
 
 
 def psi_transform(t: GeometricTiling) -> GeometricTiling:
-    """Rewrite a product tiling as axis-aligned squares on a square torus.
+    """Rewrite a product tiling as axis-aligned boxes on a square torus.
 
     Both cycles are unrolled to a common circumference (n1 copies of one,
-    n2 of the other), where the shear (x, y) -> (x+y, x-y) identifies each
-    diamond square with two axis-aligned squares of half the diagonal.
+    n2 of the other), where the shear (x, y) -> ((x+y)/2, (x-y)/2)
+    identifies each diamond box with two axis-aligned boxes of half its
+    half-widths; a diamond square becomes two squares.
     """
     if not isinstance(t.region, ProductRegion):
         raise ValueError("only product tilings admit the axis transform")
@@ -253,24 +275,15 @@ def psi_transform(t: GeometricTiling) -> GeometricTiling:
     half_period = big.scale(Rat(1, 2))
     pieces = []
     for p in t.pieces:
-        if p.half_sum != p.half_diff:
-            raise ValueError("non-square piece cannot be sheared to a square")
-        half = p.half_sum.scale(Rat(1, 2))
+        hu, hv = (h.scale(Rat(1, 2)) for h in p.halves)
         for i in range(n1):
             for j in range(n2):
                 cx = p.center[0] + l1.scale(i)
                 cy = p.center[1] + l2.scale(j)
                 u = (cx + cy).scale(Rat(1, 2))
                 v = (cx - cy).scale(Rat(1, 2))
-                pieces.append(AxisPiece(f"{p.label}[{i},{j}]a", (u, v), half, half))
-                pieces.append(
-                    AxisPiece(
-                        f"{p.label}[{i},{j}]b",
-                        (u + half_period, v + half_period),
-                        half,
-                        half,
-                    )
-                )
+                for tag, d in (("a", table.zero()), ("b", half_period)):
+                    pieces.append(AxisPiece(f"{p.label}[{i},{j}]{tag}", (u + d, v + d), hu, hv))
     return GeometricTiling(table, TorusRegion(big, (n1, n2)), tuple(pieces))
 
 
@@ -363,29 +376,6 @@ def _layout(t: GeometricTiling):
             return (_wrap(table, x, l), _wrap(table, y, l))
 
         return (period, period), offsets, strips, back
-    if isinstance(region, ProductRegion):
-        counts = _lift_counts(region)
-        if counts is None:
-            raise InternalInconsistency("no common period for the grid")
-        n1, n2 = counts
-        l1, l2 = region.length1, region.length2
-        big = l1.scale(n1)
-        period = big.scale(2)
-        offsets = []
-        for i in range(n1):
-            for j in range(n2):
-                du = l1.scale(i) + l2.scale(j)
-                dv = l1.scale(i) - l2.scale(j)
-                offsets.append((du, dv))
-                offsets.append((du + big, dv + big))
-        strips = [(zero, period)]
-
-        def back(u, v):
-            x = (u + v).scale(Rat(1, 2))
-            y = (u - v).scale(Rat(1, 2))
-            return (_wrap(table, x, l1), _wrap(table, y, l2))
-
-        return (period, period), offsets, strips, back
     if isinstance(region, TorusRegion):
         period = region.length
         strips = [(zero, period)]
@@ -455,9 +445,10 @@ def _build_grid(t: GeometricTiling):
 class TilingReport:
     """Verdict of verify_tiling.
 
-    An ok report also carries the grid the verification scanned, so that
-    to_measure_tiling can reuse it.  Grids are large, so a report kept
-    beyond that use should be stored through without_grid().
+    An ok report also carries the grid the verification scanned (for a
+    product tiling, its torus form's), so that to_measure_tiling can reuse
+    it.  Grids are large, so a report kept beyond that use should be
+    stored through without_grid().
     """
 
     status: str  # ok | gap | overlap | protrusion | area-mismatch
@@ -483,21 +474,9 @@ def _covering_pieces(grid: _Grid, j: int, k: int):
     return found
 
 
-def verify_tiling(t: GeometricTiling) -> TilingReport:
-    """Exact coverage of the region with multiplicity one, plus the area
-    identity.  First defect in grid scan order wins."""
-    table = t.table
-    tiled = sum_terms((p.area() for p in t.pieces), Area(table, {}))
-    region_area = t.region.area()
-    if isinstance(t.region, ProductRegion) and _lift_counts(t.region) is None:
-        # no common refinement exists; the area identity is the only
-        # exact statement left, and matching areas prove nothing
-        if tiled == region_area:
-            raise InternalInconsistency(
-                "incommensurable product admits no coverage certificate"
-            )
-        return TilingReport("area-mismatch", None, (), tiled, region_area)
-
+def _scan(t: GeometricTiling):
+    """(status, witness, pieces, grid) for the first defect of t's grid in
+    scan order, or for none."""
     grid, back = _build_grid(t)
     half = Rat(1, 2)
     for j in range(len(grid.u_breaks) - 1):
@@ -510,13 +489,51 @@ def verify_tiling(t: GeometricTiling) -> TilingReport:
             v_mid = (grid.v_breaks[k] + grid.v_breaks[k + 1]).scale(half)
             witness = back(u_mid, v_mid)
             if not inside:
-                owner = _covering_pieces(grid, j, k)[0]
-                return TilingReport("protrusion", witness, (owner,), tiled, region_area)
+                return "protrusion", witness, (_covering_pieces(grid, j, k)[0],), grid
             if c == 0:
-                return TilingReport("gap", witness, (), tiled, region_area)
-            first, second = _covering_pieces(grid, j, k)[:2]
-            return TilingReport("overlap", witness, (first, second), tiled, region_area)
+                return "gap", witness, (), grid
+            return "overlap", witness, tuple(_covering_pieces(grid, j, k)[:2]), grid
+    return "ok", None, (), grid
 
+
+def verify_tiling(t: GeometricTiling) -> TilingReport:
+    """Exact coverage of the region with multiplicity one, plus the area
+    identity.  First defect in grid scan order wins.
+
+    A product tiling is decided on its torus form (psi_transform), whose
+    grid is the product's own grid at half scale, and the verdict is
+    pulled back: torus piece i is a translate of product piece
+    i // (2*n1*n2), and torus point (U, V) is product point
+    (U + V mod l1, U - V mod l2).  An ok product report carries the torus
+    grid; torus_form recovers the torus tiling and its verdict from it.
+    """
+    table = t.table
+    region = t.region
+    tiled = sum_terms((p.area() for p in t.pieces), Area(table, {}))
+    region_area = region.area()
+    if not isinstance(region, ProductRegion):
+        status, witness, pieces, grid = _scan(t)
+    elif _lift_counts(region) is None:
+        # no common refinement exists; the area identity is the only
+        # exact statement left, and matching areas prove nothing
+        if tiled == region_area:
+            raise InternalInconsistency(
+                "incommensurable product admits no coverage certificate"
+            )
+        return TilingReport("area-mismatch", None, (), tiled, region_area)
+    else:
+        status, witness, pieces, grid = _scan(psi_transform(t))
+        n1, n2 = grid.tiling.region.lift_counts
+        pieces = tuple(i // (2 * n1 * n2) for i in pieces)
+        if witness is not None:
+            u, v = witness
+            witness = (
+                _wrap(table, u + v, region.length1),
+                _wrap(table, u - v, region.length2),
+            )
+
+    if status != "ok":
+        return TilingReport(status, witness, pieces, tiled, region_area)
     if tiled != region_area:
         raise InternalInconsistency(
             "region covered exactly once yet piece areas disagree with it"
@@ -524,18 +541,26 @@ def verify_tiling(t: GeometricTiling) -> TilingReport:
     return TilingReport("ok", None, (), tiled, region_area, grid)
 
 
+def torus_form(report: TilingReport) -> tuple:
+    """(torus tiling, its verdict) for an ok product report: the tiling the
+    report's grid was scanned on, with the grid attached to its verdict.
+    Covered exactly once, the torus is tiled by exactly its own area."""
+    grid = report.grid
+    area = grid.tiling.region.area()
+    return grid.tiling, TilingReport("ok", None, (), area, area, grid)
+
+
 # ---------------------------------------------------------------------------
 # bridge to measure tilings
 # ---------------------------------------------------------------------------
 
 
-def to_measure_tiling(
-    t: GeometricTiling, report: Optional[TilingReport] = None
-) -> MeasureTiling:
+def to_measure_tiling(t: GeometricTiling, report: TilingReport) -> MeasureTiling:
     """Re-express a verified tiling as a measure-space rectangle tiling.
 
     report is the one verify_tiling returned for t, grid included, so the
-    grid is built once; without it t is verified here.
+    grid is built once.  A product tiling has no measure form of its own:
+    pass its torus form (torus_form) instead.
 
     Annulus mode: X faces are the grid intervals of the doubled torus and
     Y faces those inside the principal strip; every interval measures half
@@ -546,12 +571,8 @@ def to_measure_tiling(
     Torus mode: faces are plain grid intervals with their full lengths and
     every translate is its own measure piece.
     """
-    if report is None:
-        report = verify_tiling(t)
     if not report.ok:
         raise ValueError(f"tiling does not verify: {report.status}")
-    if isinstance(t.region, ProductRegion):
-        raise ValueError("convert a product tiling with the axis transform first")
     grid = report.grid
     if grid is None or grid.tiling is not t:
         raise ValueError("report does not carry the verified grid of this tiling")
@@ -608,25 +629,24 @@ def to_measure_tiling(
 # ---------------------------------------------------------------------------
 
 
+def _region_fields(region, scalar, lifts) -> list:
+    """The region's fields as (name, encoded value) pairs: Scalars through
+    scalar, the lift-count pair through lifts."""
+    return [
+        (name, scalar(v) if isinstance(v, Scalar) else lifts(v))
+        for name, v in region.fields()
+    ]
+
+
 def serialize_tiling(t: GeometricTiling, report: Optional[TilingReport] = None) -> str:
-    lines = []
+    """The line-oriented text report: region, pieces, then the verdict."""
     r = t.region
-    if isinstance(r, AnnulusRegion):
-        lines.append(
-            f"region annulus length={format_compact(r.length)} area={format_area(r.area())}"
-        )
-    elif isinstance(r, ProductRegion):
-        lines.append(
-            "region product"
-            f" length1={format_compact(r.length1)} length2={format_compact(r.length2)}"
-            f" area={format_area(r.area())}"
-        )
-    else:
-        n1, n2 = r.lift_counts
-        lines.append(
-            f"region torus length={format_compact(r.length)} lifts={n1}x{n2}"
-            f" area={format_area(r.area())}"
-        )
+    fields = _region_fields(r, format_compact, lambda c: "x".join(str(n) for n in c))
+    lines = [
+        f"region {r.kind} "
+        + " ".join(f"{name}={text}" for name, text in fields)
+        + f" area={format_area(r.area())}"
+    ]
     for p in t.pieces:
         cx, cy = p.center
         hu, hv = p.halves
@@ -648,3 +668,32 @@ def serialize_tiling(t: GeometricTiling, report: Optional[TilingReport] = None) 
         )
         lines.append(tail)
     return "\n".join(lines) + "\n"
+
+
+def tiling_payload(t: GeometricTiling, report: TilingReport) -> dict:
+    """The JSON report: the same content as serialize_tiling, with piece
+    indices in the verdict."""
+    r = t.region
+    fields = _region_fields(r, format_scalar, lambda c: [int(n) for n in c])
+    return {
+        "kind": "tiling",
+        "region": {"kind": r.kind, **dict(fields)},
+        "pieces": [
+            {
+                "label": p.label,
+                "kind": p.shape,
+                "center": [format_scalar(c) for c in p.center],
+                "halves": [format_scalar(h) for h in p.halves],
+            }
+            for p in t.pieces
+        ],
+        "verdict": {
+            "status": report.status,
+            "witness": None
+            if report.witness is None
+            else [format_scalar(w) for w in report.witness],
+            "pieces": list(report.pieces),
+            "tiled_area": format_area(report.tiled_area),
+            "region_area": format_area(report.region_area),
+        },
+    }

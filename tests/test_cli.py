@@ -230,6 +230,90 @@ def test_tile_plot_export(capsys, tmp_path, heawood_path):
     assert first[5] == first[6] == "1.047"  # z = pi/3 both ways
 
 
+# a Heawood hexagon pair whose first cycle runs over e0; perturbing e0
+# breaks the product tiling in three different ways
+@pytest.mark.parametrize(
+    "delta, lifts, verdict",
+    [
+        ("1", None, "verdict area-mismatch tiled=4*PI*PI region=4*PI*PI + 2*PI"),
+        (
+            "1/6*PI",
+            (12, 13),
+            "verdict gap witness=(1/4*PI,11/6*PI) tiled=4*PI*PI region=13/3*PI*PI",
+        ),
+        (
+            "-1/12*PI",
+            (24, 23),
+            "verdict overlap witness=(1/6*PI,15/8*PI) pieces=chord3,chord5"
+            " tiled=4*PI*PI region=23/6*PI*PI",
+        ),
+    ],
+    ids=["area-mismatch", "gap", "overlap"],
+)
+def test_tile_pair_of_perturbed_hexagons(capsys, tmp_path, delta, lifts, verdict):
+    from commensura.chords import chords_of_subgraph
+    from commensura.generators import build
+    from commensura.graph import Subgraph, cycles_of
+    from commensura.tilings import product_tiling, psi_transform
+
+    pair = ("e0,e10,e11,e6,e7,e1", "e3,e15,e17,e14,e13,e5")
+    text = generate("perturb", base="heawood", edge="e0", delta=delta)
+    path = write(tmp_path, "perturbed.graph", text)
+    code, out, _ = run(capsys, "tile", "--pair", *pair, path)
+    assert code == 3
+    assert out.splitlines()[-1] == verdict
+    assert out.count("verdict") == 1  # no torus form follows a failed product
+    code, out, _ = run(capsys, "--format", "machine", "tile", "--pair", *pair, path)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["axis"] is None
+    assert doc["product"]["verdict"]["status"] == verdict.split()[1]
+    if lifts is not None:
+        g = build("perturb", base="heawood", edge="e0", delta=delta)
+        c1, c2 = (
+            next(c for c in cycles_of(g.whole()) if c.edge_ids == set(spec.split(",")))
+            for spec in pair
+        )
+        union = Subgraph(g, tuple(sorted(c1.edge_ids | c2.edge_ids)))
+        product = product_tiling(g, c1, c2, chords_of_subgraph(g, union))
+        assert psi_transform(product).region.lift_counts == lifts
+
+
+@pytest.mark.parametrize("digits", ["-1", "18", "200000"])
+def test_plot_digits_out_of_range_is_usage_error(capsys, tmp_path, heawood_path, digits):
+    plot = tmp_path / "plot.tsv"
+    code, out, err = run(
+        capsys, "--export-plot", str(plot), "--plot-digits", digits,
+        "tile", "--loop", OCT, heawood_path,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --plot-digits")
+    assert not plot.exists()
+
+
+@pytest.mark.parametrize("digits", ["0", "17"])
+def test_plot_digits_limits_are_inclusive(capsys, tmp_path, heawood_path, digits):
+    plot = tmp_path / "plot.tsv"
+    code, _, _ = run(
+        capsys, "--export-plot", str(plot), "--plot-digits", digits,
+        "tile", "--loop", OCT, heawood_path,
+    )
+    assert code == 0
+    half = plot.read_text().splitlines()[1].split("\t")[5]
+    assert len(half.partition(".")[2]) == int(digits)
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_negative_cycle_cap_is_usage_error(capsys, heawood_path, where):
+    flag = ("--cycle-cap", "-1")
+    argv = [*flag, "analyze", heawood_path] if where == "before" else ["analyze", heawood_path, *flag]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --cycle-cap")
+
+
 def test_plot_export_rejected_without_tiling(capsys, heawood_path):
     code, _, err = run(capsys, "--export-plot", "/tmp/x.tsv", "check", heawood_path)
     assert code == 1
@@ -333,6 +417,22 @@ def test_dehn_two_parameter_malformed_numbers_are_usage_errors(
     )
     assert code == 1
     assert err.startswith(f"error: {culprit}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "space X x0=1 x0=2\nspace Y y0=1\npiece A={x0} B={y0}\n",
+        "space X x0=1\nspace Y y0=1 y1=1\npiece A={x0} B={y0} B={y1}\n",
+    ],
+    ids=["duplicate-element", "repeated-side"],
+)
+def test_dehn_malformed_tiling_is_input_error(capsys, tmp_path, text):
+    path = write(tmp_path, "bad.mt", text)
+    code, out, err = run(capsys, "dehn", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line ")
 
 
 # ---------------------------------------------------------------------------

@@ -470,3 +470,24 @@ def test_measure_tiling_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_measure_tiling(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        # the second x0 used to shadow the first, leaving element 0 uncovered
+        ("space X x0=1 x0=2\nspace Y y0=1\npiece A={x0} B={y0}\n", "line 1: duplicate element x0"),
+        # the last B used to win silently
+        ("space X x0=1\nspace Y y0=1 y1=1\npiece A={x0} B={y0} B={y1}\n", "line 3: piece repeats side B"),
+    ],
+    ids=["duplicate-element", "repeated-side"],
+)
+def test_measure_tiling_parse_rejects_silent_overrides(text, fragment):
+    with pytest.raises(GraphFormatError) as err:
+        parse_measure_tiling(text)
+    assert fragment in str(err.value)
+
+
+def test_measure_tiling_same_name_in_both_spaces_is_allowed():
+    t = parse_measure_tiling("space X a=1\nspace Y a=1\npiece A={a} B={a}\n")
+    assert t.pieces == [(frozenset({0}), frozenset({0}))]

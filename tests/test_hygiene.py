@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-private top-level function, class or constant is referenced there.
 
-The package ``__init__`` is exempt: it imports in order to re-export.
-Names used only inside quoted annotations count as used.
+The package ``__init__`` is exempt from the import check: it imports in
+order to re-export.  Names used only inside quoted annotations count as
+used; a name that is only assigned to does not.
 """
 
 import ast
@@ -29,7 +31,7 @@ def _imported(tree: ast.Module) -> dict:
 def _used(tree: ast.Module) -> set:
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -55,3 +57,29 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Top-level private (single underscore) name -> line that defines it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = {name: line for name, line in _private_definitions(tree).items() if name not in used}
+    assert not unused, f"{path.name}: defined but never referenced: {unused}"

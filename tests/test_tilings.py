@@ -7,6 +7,7 @@ with closed and open containment counted separately so boundary hits
 never produce false alarms.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -33,6 +34,7 @@ from commensura.tilings import (
     _wrap,
     serialize_tiling,
     to_measure_tiling,
+    torus_form,
     verify_tiling,
 )
 
@@ -327,6 +329,181 @@ def test_incommensurable_product_reports_area_mismatch():
         psi_transform(t)
 
 
+def test_psi_shears_rectangles_to_half_widths():
+    table = SymbolTable()
+    l = table.pi(2)
+    hs, hd = table.pi(Fraction(1, 2)), table.pi(Fraction(1, 6))
+    box = DiamondPiece("r", (table.pi(Fraction(1, 3)), table.zero()), hs, hd)
+    out = psi_transform(GeometricTiling(table, ProductRegion(l, l), (box,)))
+    assert len(out.pieces) == 2
+    for p in out.pieces:
+        assert p.shape == "axis-rectangle"
+        assert p.halves == (hs.scale(Fraction(1, 2)), hd.scale(Fraction(1, 2)))
+
+
+def test_product_is_verified_on_its_torus_grid(monkeypatch):
+    import commensura.tilings as tilings_mod
+
+    g, t = k44_product()
+    builds = []
+    real = tilings_mod._build_grid
+    monkeypatch.setattr(tilings_mod, "_build_grid", lambda tiling: builds.append(tiling) or real(tiling))
+    rep = verify_tiling(t)
+    assert rep.ok
+    (grid_tiling,) = builds  # one grid, on the torus form
+    axis, axis_rep = torus_form(rep)
+    assert axis is grid_tiling and axis == psi_transform(t)
+    assert axis_rep.ok and axis_rep.grid is rep.grid
+    assert axis_rep.tiled_area == axis_rep.region_area == axis.region.area()
+    mt = to_measure_tiling(axis, axis_rep)
+    assert len(builds) == 1
+    fresh = verify_tiling(axis)
+    assert (fresh.status, fresh.tiled_area, fresh.region_area) == (
+        axis_rep.status, axis_rep.tiled_area, axis_rep.region_area
+    )
+    again = to_measure_tiling(axis, fresh)
+    assert (mt.labels, mt.pieces) == (again.labels, again.pieces)
+
+
+# Random product tilings, judged point by point.  A tiling is built in the
+# coordinates (u, v) = (x + y, x - y), where the product torus is the
+# quotient by the lattice spanned by (l1, l1) and (l2, -l2).  That lattice
+# holds (2*big, 0), big = n1*l1 = n2*l2, so the box 2*big by l1*l2/big
+# tiles it in rows; a random guillotine cut of the box gives rectangles,
+# and a row of 2*n1*n2 squares with random quarterings gives squares.  All
+# lengths are rational multiples of one base symbol: PI, or the declared
+# decimal symbol h.
+
+
+def _random_boxes(rng, width, height, shape):
+    if shape == "square":
+        side = height
+        boxes = [(side * i, Fraction(0), side) for i in range(int(width / side))]
+        out = []
+        while boxes:
+            u, v, s = boxes.pop()
+            if rng.random() < 0.25 and len(out) + len(boxes) < 40:
+                h = s / 2
+                boxes += [(u, v, h), (u + h, v, h), (u, v + h, h), (u + h, v + h, h)]
+            else:
+                out.append((u, v, s, s))
+        return out
+    boxes, out = [(Fraction(0), Fraction(0), width, height)], []
+    while boxes:
+        u, v, w, h = boxes.pop()
+        if rng.random() < 0.6 and len(out) + len(boxes) < 12:
+            cut = Fraction(rng.randrange(1, 6), 6)
+            if rng.random() < 0.5:
+                boxes += [(u, v, w * cut, h), (u + w * cut, v, w * (1 - cut), h)]
+            else:
+                boxes += [(u, v, w, h * cut), (u, v + h * cut, w, h * (1 - cut))]
+        else:
+            out.append((u, v, w, h))
+    return out
+
+
+def _random_product(rng, lifts, shape, base, defect):
+    """(tiling, l1, l2, pieces, base symbol index); lengths and pieces
+    (cx, cy, half_sum, half_diff) are in base units."""
+    table = SymbolTable()
+    table.declare_decimal_symbol("h", Fraction(5, 2), Fraction(1, 100))
+    idx = table.index_of(base)
+    n1, n2 = lifts
+    l1, l2 = Fraction(2), Fraction(2 * n1, n2)
+    big = n1 * l1
+    width, height = 2 * big, l1 * l2 / big
+    u0 = Fraction(rng.randrange(-12, 13), 7)
+    v0 = Fraction(rng.randrange(-12, 13), 5)
+    pieces = []
+    for u, v, w, h in _random_boxes(rng, width, height, shape):
+        cu, cv = u0 + u + w / 2, v0 + v + h / 2
+        pieces.append([(cu + cv) / 2, (cu - cv) / 2, w / 2, h / 2])
+    k = rng.randrange(len(pieces))
+    if defect == "drop":
+        del pieces[k]
+    elif defect == "duplicate":
+        pieces.append(list(pieces[k]))
+    elif defect == "shift":
+        pieces[k][0] += Fraction(rng.choice([-1, 1]), rng.randrange(7, 30))
+    rng.shuffle(pieces)
+
+    def s(c):
+        return Scalar(table, {idx: Rat(c)} if c else {})
+
+    tiling = GeometricTiling(
+        table,
+        ProductRegion(s(l1), s(l2)),
+        tuple(
+            DiamondPiece(f"p{i}", (s(cx), s(cy)), s(hs), s(hd))
+            for i, (cx, cy, hs, hd) in enumerate(pieces)
+        ),
+    )
+    return tiling, l1, l2, pieces, idx
+
+
+def _cover(piece, x, y, l1, l2):
+    """(closed, open) counts of the translates of a diamond box holding the
+    product torus point (x, y), by direct enumeration of lattice shifts."""
+    cx, cy, hs, hd = piece
+    du, dv = x + y - cx - cy, x - y - cx + cy
+    # u' = du + a*l1 + b*l2 and v' = dv + a*l1 - b*l2 must lie in the box
+    a_lo, a_hi = (-hs - hd - du - dv) / (2 * l1), (hs + hd - du - dv) / (2 * l1)
+    b_lo, b_hi = (-hs - hd - du + dv) / (2 * l2), (hs + hd - du + dv) / (2 * l2)
+    closed = open_ = 0
+    for a in range(math.floor(a_lo), math.ceil(a_hi) + 1):
+        for b in range(math.floor(b_lo), math.ceil(b_hi) + 1):
+            u, v = du + a * l1 + b * l2, dv + a * l1 - b * l2
+            closed += abs(u) <= hs and abs(v) <= hd
+            open_ += abs(u) < hs and abs(v) < hd
+    return closed, open_
+
+
+@pytest.mark.parametrize("base", ["PI", "h"])
+@pytest.mark.parametrize("shape", ["square", "rectangle"])
+@pytest.mark.parametrize("lifts", [(1, 1), (4, 3), (3, 2)], ids=["1x1", "4x3", "3x2"])
+def test_product_verdict_matches_point_oracle(lifts, shape, base):
+    rng = random.Random(f"{lifts}-{shape}-{base}")
+    statuses = set()
+    for defect in ("none", "drop", "duplicate", "shift"):
+        t, l1, l2, pieces, idx = _random_product(rng, lifts, shape, base, defect)
+        rep = verify_tiling(t)
+        statuses.add(rep.status)
+
+        def coeff(s):
+            assert set(s.coeffs) <= {idx}
+            v = s.coeffs.get(idx, 0)
+            return Fraction(v.numerator, v.denominator) if v else Fraction(0)
+
+        if defect == "none":
+            assert rep.ok
+        elif defect == "drop":
+            assert rep.status == "gap"
+        elif defect == "duplicate":
+            assert rep.status == "overlap"
+        if rep.ok:
+            for _ in range(40):
+                x = l1 * Fraction(rng.randrange(1, 2 * 97, 2), 2 * 97)
+                y = l2 * Fraction(rng.randrange(1, 2 * 101, 2), 2 * 101)
+                counts = [_cover(p, x, y, l1, l2) for p in pieces]
+                assert sum(c for c, _ in counts) >= 1, (x, y)
+                assert sum(o for _, o in counts) <= 1, (x, y)
+            continue
+        x, y = (coeff(w) for w in rep.witness)
+        assert 0 <= x < l1 and 0 <= y < l2
+        if rep.status == "gap":
+            assert rep.pieces == ()
+            assert all(_cover(p, x, y, l1, l2) == (0, 0) for p in pieces)
+        else:
+            assert rep.status == "overlap"
+            first, second = rep.pieces
+            if first == second:
+                assert _cover(pieces[first], x, y, l1, l2)[1] >= 2
+            else:
+                assert _cover(pieces[first], x, y, l1, l2)[1] >= 1
+                assert _cover(pieces[second], x, y, l1, l2)[1] >= 1
+    assert {"ok", "gap", "overlap"} <= statuses
+
+
 # ---------------------------------------------------------------------------
 # bridge to measure tilings
 # ---------------------------------------------------------------------------
@@ -335,7 +512,7 @@ def test_incommensurable_product_reports_area_mismatch():
 def test_octagon_measure_bridge():
     g, t = octagon_tiling()
     table = g.table
-    mt = to_measure_tiling(t)
+    mt = to_measure_tiling(t, verify_tiling(t))
     assert mt.labels == [p.label for p in t.pieces]
     assert mt.mu_x() == table.pi(Fraction(8, 3))  # the loop length
     assert mt.mu_y() == table.pi(Fraction(1, 3))  # half the band width
@@ -351,7 +528,7 @@ def test_octagon_measure_bridge():
 def test_k44_axis_measure_bridge():
     g, t = k44_product()
     axis = psi_transform(t)
-    mt = to_measure_tiling(axis)
+    mt = to_measure_tiling(axis, verify_tiling(axis))
     table = g.table
     assert mt.mu_x() == table.pi(2)
     assert mt.mu_y() == table.pi(2)
@@ -368,7 +545,7 @@ def test_bridge_refuses_unverified_tilings():
     g, t = octagon_tiling()
     broken = GeometricTiling(t.table, t.region, t.pieces[1:])
     with pytest.raises(ValueError):
-        to_measure_tiling(broken)
+        to_measure_tiling(broken, verify_tiling(broken))
 
 
 def test_bridge_takes_only_the_verified_report_of_its_tiling(monkeypatch):
@@ -388,17 +565,14 @@ def test_bridge_takes_only_the_verified_report_of_its_tiling(monkeypatch):
     real = tilings_mod._build_grid
     monkeypatch.setattr(tilings_mod, "_build_grid", lambda tiling: builds.append(tiling) or real(tiling))
     rep = verify_tiling(t)
-    mt = to_measure_tiling(t, rep)
+    to_measure_tiling(t, rep)
     assert builds == [t]  # the verified grid is reused, not rebuilt
-    fresh = to_measure_tiling(t)
-    assert builds == [t, t]  # the one-argument form verifies, once
-    assert (mt.labels, mt.pieces) == (fresh.labels, fresh.pieces)
 
 
 def test_bridge_refuses_raw_product_tilings():
     g, t = k44_product()
     with pytest.raises(ValueError):
-        to_measure_tiling(t)
+        to_measure_tiling(t, verify_tiling(t))
 
 
 # ---------------------------------------------------------------------------
