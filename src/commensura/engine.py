@@ -603,6 +603,10 @@ class Analysis:
 
 
 def _incommensurable_cycle_hint(sub: Subgraph, cap: int) -> Optional[dict]:
+    # a cycle length is a sum of edge lengths, so with every edge on the
+    # PI lattice no cycle is off it and there is nothing to enumerate
+    if all(pi_ratio(e.length) is not None for e in sub.edges()):
+        return None
     try:
         for c in cycles_of(sub, cap):
             if pi_ratio(c.length) is None:

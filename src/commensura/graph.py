@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ._rat import Rat
@@ -581,11 +582,13 @@ class Cycle:
     edge_ids: frozenset
     length: Scalar
 
-    @property
+    # computed once per cycle: the disjoint-pair scan reads them per pair;
+    # the cache lives outside the fields, so equality and hashing ignore it
+    @cached_property
     def vertex_seq(self) -> tuple[str, ...]:
         return tuple(germ_source(g) for g in self.steps)
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset:
         return frozenset(self.vertex_seq)
 

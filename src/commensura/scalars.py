@@ -8,11 +8,13 @@ the built-in pi stream).  The declared symbols together with 1 are
 every equality decision below and is deliberately not re-derived here.
 
 Equality is decided symbolically (equal coefficient maps).  Strict order is
-decided numerically but soundly: the difference is enclosed in a rational
-interval that is refined until the sign is certain or the bit budget runs
-out, in which case the comparison reports INDETERMINATE rather than guess.
-Only PI-kind symbols refine; a difference without them is decided at the
-first rung.  No floating point enters any decision.
+decided exactly when the difference is one term on the unit or a PI-kind
+symbol (the sign of its coefficient), and otherwise numerically but
+soundly: the difference is enclosed in a rational interval that is refined
+until the sign is certain or the bit budget runs out, in which case the
+comparison reports INDETERMINATE rather than guess.  Only PI-kind symbols
+refine; a difference without them is decided at the first rung.  No
+floating point enters any decision.
 
 Products of Scalars live in a separate Area type whose basis is unordered
 symbol pairs.  Areas support addition, rational scaling and the same
@@ -38,6 +40,8 @@ DEFAULT_PRECISION_BITS = 256
 # enclosures build integers of about this many bits, so the budget is bounded
 MAX_PRECISION_BITS = 65536
 _LADDER_START = 64
+# symbol kinds whose value is positive by construction: 1 and pi
+_POSITIVE_KINDS = ("unit", "pi")
 
 RatPair = tuple  # (lo, hi) rational interval
 
@@ -286,12 +290,23 @@ class SymbolTable:
     def _ladder(self, coeffs: dict, bits: int | None, pairs: bool = False) -> Comparison:
         """The one certified sign decision, for a nonzero coefficient map.
 
-        Encloses the value at 64 bits, then at doubled budgets up to ``bits``
-        (the table default when None), until the enclosure excludes zero.
+        A single term on a known-positive symbol (the unit or a PI-kind
+        symbol; for an Area, a pair of them) has the sign of its
+        coefficient, exactly and without an enclosure.  Anything else is
+        enclosed at 64 bits, then at doubled budgets up to ``bits`` (the
+        table default when None), until the enclosure excludes zero.
         Scalar keys are symbol indices, Area keys (``pairs``) index pairs.
         Only PI-kind symbols narrow with more bits, so a map without them is
         decided, or left INDETERMINATE, at the first rung.
         """
+        if len(coeffs) == 1:
+            ((key, c),) = coeffs.items()
+            symbols = self._symbols
+            if all(symbols[i].kind in _POSITIVE_KINDS for i in (key if pairs else (key,))):
+                if c > 0:
+                    return Comparison.GREATER
+                if c < 0:
+                    return Comparison.LESS
         interval = _product_interval if pairs else _linear_interval
         budget = self.precision_bits if bits is None else bits
         cur = _LADDER_START

@@ -4,6 +4,10 @@ exactly, plus the axis-aligned torus form they convert to.
 Every piece here is a rotated box: in the coordinates u = x + y and
 v = x - y it becomes axis-aligned, so coverage checking reduces to exact
 interval bookkeeping over the common refinement grid of all box edges.
+When every grid coordinate of a tiling is a rational multiple of one
+positive base b, the grid runs on the integer multiples of b/D for a
+common denominator D; mixed-basis data keeps Scalar coordinates, ordered
+by the sign ladder.
 The rotated coordinate lattice has index two in the plain one; running
 the check on a doubled torus (both periods twice the loop length, every
 piece contributing two translates) accounts for that exactly.  A product
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
+from itertools import chain
+from math import lcm
 from typing import Optional
 
 from ._rat import Rat
@@ -309,32 +315,115 @@ def _wrap(table: SymbolTable, value: Scalar, period: Scalar) -> Scalar:
     return value
 
 
-def _runs_mod(table: SymbolTable, lo: Scalar, extent: Scalar, period: Scalar):
-    """Wrap [lo, lo+extent] into the fundamental interval [0, period];
-    the extent is at most one period."""
-    lo = _wrap(table, lo, period)
-    hi = lo + extent
-    if table.require(table.compare(hi, period), "wrap test undecidable") is Comparison.GREATER:
-        return [(lo, period), (table.zero(), hi - period)]
-    return [(lo, hi)]
+# Grid coordinates come in two kinds with one interface: the wrap of a run
+# into the fundamental interval, the extent test, the sorted break set, and
+# the Scalar a coordinate stands for.  _build_grid holds the one copy of the
+# counting code and takes whichever kind the tiling's data admits.
 
 
-def _sorted_breaks(table: SymbolTable, values):
-    uniq = {}
-    for v in values:
-        uniq.setdefault(v.key(), v)
-    vals = list(uniq.values())
+class _ScalarLine:
+    """Coordinates kept as Scalars; each order decision climbs the ladder.
+    This serves mixed-basis data, where violations live."""
 
-    def cmp(a, b):
-        c = table.require(table.compare(a, b), "breakpoint order undecidable")
-        if c is Comparison.LESS:
-            return -1
-        if c is Comparison.GREATER:
-            return 1
-        raise InternalInconsistency("distinct scalar forms compare equal")
+    def __init__(self, table: SymbolTable):
+        self.table = table
+        self.zero = table.zero()
 
-    vals.sort(key=cmp_to_key(cmp))
-    return vals, {v.key(): i for i, v in enumerate(vals)}
+    def coord(self, value: Scalar) -> Scalar:
+        return value
+
+    def scalar(self, coord: Scalar) -> Scalar:
+        return coord
+
+    def exceeds(self, extent: Scalar, period: Scalar) -> bool:
+        cmp = self.table.compare(extent, period)
+        return self.table.require(cmp, "piece larger than the torus") is Comparison.GREATER
+
+    def runs(self, lo: Scalar, extent: Scalar, period: Scalar) -> list:
+        """Wrap [lo, lo+extent] into the fundamental interval [0, period];
+        the extent is at most one period."""
+        table = self.table
+        lo = _wrap(table, lo, period)
+        hi = lo + extent
+        if table.require(table.compare(hi, period), "wrap test undecidable") is Comparison.GREATER:
+            return [(lo, period), (self.zero, hi - period)]
+        return [(lo, hi)]
+
+    def sorted(self, values) -> list:
+        table = self.table
+        uniq = {}
+        for v in values:
+            uniq.setdefault(v.key(), v)
+        vals = list(uniq.values())
+
+        def cmp(a, b):
+            c = table.require(table.compare(a, b), "breakpoint order undecidable")
+            if c is Comparison.LESS:
+                return -1
+            if c is Comparison.GREATER:
+                return 1
+            raise InternalInconsistency("distinct scalar forms compare equal")
+
+        vals.sort(key=cmp_to_key(cmp))
+        return vals
+
+
+class _IntLine:
+    """Coordinates on the line Q*unit, unit > 0, as integer multiples of
+    unit/den.
+
+    Since unit is positive, n -> (n/den)*unit preserves order, so the wrap,
+    the extent test and the break order are decided on the integers, and
+    each break maps back to exactly the Scalar it stands for.
+    """
+
+    zero = 0
+
+    def __init__(self, unit: Scalar, key: int, den: int):
+        self.unit = unit
+        self.key = key  # a symbol on which unit has coefficient 1
+        self.den = den
+
+    @classmethod
+    def of(cls, base: Scalar, values) -> Optional["_IntLine"]:
+        """The line through base when base > 0 is certified and every value
+        is a rational multiple of base, decided on coefficients alone."""
+        if base.table.sign(base) is not Comparison.GREATER:
+            return None
+        key, lead = next(iter(base.coeffs.items()))
+        unit = base.scale(1 / lead)
+        terms = len(unit.coeffs)
+        den = 1
+        for v in values:
+            r = v.coeffs.get(key)  # v / unit, when v is on the line
+            if r is None:
+                if v.coeffs:
+                    return None
+                continue
+            if len(v.coeffs) != terms or (terms > 1 and v.coeffs != unit.scale(r).coeffs):
+                return None
+            den = lcm(den, r.denominator)
+        return cls(unit, key, den)
+
+    def coord(self, value: Scalar) -> int:
+        r = value.coeffs.get(self.key)
+        return 0 if r is None else r.numerator * (self.den // r.denominator)
+
+    def scalar(self, coord: int) -> Scalar:
+        return self.unit.scale(Rat(coord, self.den))
+
+    def exceeds(self, extent: int, period: int) -> bool:
+        return extent > period
+
+    def runs(self, lo: int, extent: int, period: int) -> list:
+        lo %= period
+        hi = lo + extent
+        if hi > period:
+            return [(lo, period), (0, hi - period)]
+        return [(lo, hi)]
+
+    def sorted(self, values) -> list:
+        return sorted(set(values))
 
 
 @dataclass
@@ -348,13 +437,14 @@ class _Grid:
     strips: list  # region strips along v, as (lo, hi) v-cell index pairs
 
 
-def _piece_box(piece):
-    """Grid-coordinate box (u_lo, u_extent, v_lo, v_extent) of a piece."""
-    cu, cv = piece.center
+def _piece_box(piece, coord):
+    """Grid-coordinate box (u_lo, u_extent, v_lo, v_extent) of a piece,
+    in the coordinates coord maps Scalars to."""
+    cu, cv = (coord(x) for x in piece.center)
     if isinstance(piece, DiamondPiece):
         cu, cv = cu + cv, cu - cv
-    hu, hv = piece.halves
-    return (cu - hu, hu.scale(2), cv - hv, hv.scale(2))
+    hu, hv = (coord(h) for h in piece.halves)
+    return (cu - hu, 2 * hu, cv - hv, 2 * hv)
 
 
 def _layout(t: GeometricTiling):
@@ -387,22 +477,39 @@ def _layout(t: GeometricTiling):
     raise ValueError(f"unknown region {region!r}")
 
 
+def _line_of(t: GeometricTiling, periods, offsets, strips):
+    """The integer line when every grid coordinate (periods, offsets,
+    strips, piece centres and halves) lies on Q*b for the first period b,
+    else the Scalar line."""
+    values = chain(
+        periods,
+        chain.from_iterable(offsets),
+        chain.from_iterable(strips),
+        chain.from_iterable(p.center + p.halves for p in t.pieces),
+    )
+    return _IntLine.of(periods[0], values) or _ScalarLine(t.table)
+
+
 def _build_grid(t: GeometricTiling):
-    table = t.table
-    (period_u, period_v), offsets, strips, back = _layout(t)
+    periods, offsets, strips, back = _layout(t)
+    line = _line_of(t, periods, offsets, strips)
+    c = line.coord
+    period_u, period_v = c(periods[0]), c(periods[1])
+    offsets = [(c(du), c(dv)) for du, dv in offsets]
+    strips = [(c(a), c(b)) for a, b in strips]
+
     raw = []
     for index, piece in enumerate(t.pieces):
-        u_lo, u_ext, v_lo, v_ext = _piece_box(piece)
-        for extent, period in ((u_ext, period_u), (v_ext, period_v)):
-            if table.require(table.compare(extent, period), "piece larger than the torus") is Comparison.GREATER:
-                raise InternalInconsistency("piece extent exceeds the torus period")
+        u_lo, u_ext, v_lo, v_ext = _piece_box(piece, c)
+        if line.exceeds(u_ext, period_u) or line.exceeds(v_ext, period_v):
+            raise InternalInconsistency("piece extent exceeds the torus period")
         for du, dv in offsets:
-            u_runs = _runs_mod(table, u_lo + du, u_ext, period_u)
-            v_runs = _runs_mod(table, v_lo + dv, v_ext, period_v)
+            u_runs = line.runs(u_lo + du, u_ext, period_u)
+            v_runs = line.runs(v_lo + dv, v_ext, period_v)
             raw.append((index, u_runs, v_runs))
 
-    u_values = [table.zero(), period_u]
-    v_values = [table.zero(), period_v]
+    u_values = [line.zero, period_u]
+    v_values = [line.zero, period_v]
     for _, u_runs, v_runs in raw:
         for a, b in u_runs:
             u_values += [a, b]
@@ -410,15 +517,17 @@ def _build_grid(t: GeometricTiling):
             v_values += [a, b]
     for a, b in strips:
         v_values += [a, b]
-    u_breaks, u_index = _sorted_breaks(table, u_values)
-    v_breaks, v_index = _sorted_breaks(table, v_values)
+    u_sorted = line.sorted(u_values)
+    v_sorted = line.sorted(v_values)
+    u_index = {x: i for i, x in enumerate(u_sorted)}
+    v_index = {x: i for i, x in enumerate(v_sorted)}
 
-    nu, nv = len(u_breaks) - 1, len(v_breaks) - 1
+    nu, nv = len(u_sorted) - 1, len(v_sorted) - 1
     diff = [[0] * (nv + 1) for _ in range(nu + 1)]
     boxes = []
     for index, u_runs, v_runs in raw:
-        u_idx = [(u_index[a.key()], u_index[b.key()]) for a, b in u_runs]
-        v_idx = [(v_index[a.key()], v_index[b.key()]) for a, b in v_runs]
+        u_idx = [(u_index[a], u_index[b]) for a, b in u_runs]
+        v_idx = [(v_index[a], v_index[b]) for a, b in v_runs]
         boxes.append((index, u_idx, v_idx))
         for ua, ub in u_idx:
             for va, vb in v_idx:
@@ -435,9 +544,11 @@ def _build_grid(t: GeometricTiling):
             corner = counts[j - 1][k - 1] if j and k else 0
             counts[j][k] = diff[j][k] + up + left - corner
 
-    strips = [(v_index[a.key()], v_index[b.key()]) for a, b in strips]
+    strips = [(v_index[a], v_index[b]) for a, b in strips]
     in_region = [any(a <= k < b for a, b in strips) for k in range(nv)]
 
+    u_breaks = [line.scalar(x) for x in u_sorted]
+    v_breaks = [line.scalar(x) for x in v_sorted]
     return _Grid(t, u_breaks, v_breaks, boxes, counts, in_region, strips), back
 
 

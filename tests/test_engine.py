@@ -528,6 +528,30 @@ def test_analyze_reports_hypothesis_violation_with_contrapositive():
     assert a.cycles == () and a.segments == ()
 
 
+def test_hint_needs_no_cycles_when_every_edge_is_on_the_lattice(monkeypatch):
+    import commensura.engine as engine_mod
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("cycles enumerated although every edge is a PI multiple")
+
+    g = build("circle", edges=5, length="1/3*PI")
+    monkeypatch.setattr(engine_mod, "cycles_of", no_enumeration)
+    a = analyze(g)
+    assert a.failure["kind"] == "hypothesis-violation"
+    assert a.failure["incommensurable_cycle"] is None
+
+
+def test_hint_finds_a_mixed_cycle_whose_fundamental_cycles_are_on_the_lattice():
+    # with tree {s0}, both fundamental cycles (s0 with s1, s0 with s2) have
+    # length PI, yet the cycle through s1 and s2 is off the lattice
+    g = parse_graph(
+        "vertex a\nvertex b\nedge s0 a b 1\nedge s1 a b PI - 1\nedge s2 a b PI - 1\n"
+    )
+    a = analyze(g)
+    assert a.failure["kind"] == "hypothesis-violation"
+    assert a.failure["incommensurable_cycle"] == {"edges": ["s1", "s2"], "length": "2*PI - 2"}
+
+
 def test_analyze_perturbed_heawood_fails_diameter_exactly(heawood):
     g = perturb_graph(heawood, "e0", "1")
     a = analyze(g)

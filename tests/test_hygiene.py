@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-private top-level function, class or constant is referenced there.
+"""Every name a package module imports is used in that module, every
+module-private top-level function, class or constant is referenced there,
+and no float enters the package outside plotting and float rejection.
 
 The package ``__init__`` is exempt from the import check: it imports in
 order to re-export.  Names used only inside quoted annotations count as
@@ -83,3 +84,38 @@ def test_every_private_definition_is_referenced(path):
     used = _used(tree)
     unused = {name: line for name, line in _private_definitions(tree).items() if name not in used}
     assert not unused, f"{path.name}: defined but never referenced: {unused}"
+
+
+# The only places a float may appear: the plot output, whose values are
+# presentation only, and as_rat, which refuses float input.
+FLOAT_ALLOWED = {("cli.py", "_plot_value"), ("_rat.py", "as_rat")}
+
+
+def _float_uses(tree: ast.Module) -> list:
+    """(enclosing top-level definition or None, line) of every ``float``
+    name and every float literal."""
+    out = []
+    for top in tree.body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "float") or (
+                isinstance(node, ast.Constant) and isinstance(node.value, float)
+            ):
+                out.append((scope, node.lineno))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_float_outside_plotting_and_rejection(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = [(scope, line) for scope, line in _float_uses(tree) if (path.name, scope) not in FLOAT_ALLOWED]
+    assert not uses, f"{path.name}: float used at {uses}"
+
+
+def test_float_allowances_are_in_use():
+    found = {
+        (path.name, scope)
+        for path in PACKAGE.glob("*.py")
+        for scope, _ in _float_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == FLOAT_ALLOWED

@@ -19,6 +19,8 @@ from commensura.scalars import (
     format_scalar,
     parse_scalar,
     pi_ratio,
+    _linear_interval,
+    _product_interval,
 )
 
 # Reference value used as an independent oracle for the built-in enclosure.
@@ -367,6 +369,10 @@ def test_ladder_against_oracles(pairs, data, value, radius, bits):
     rungs = list(rungs)
     if not pairs:
         assert table.compare(Scalar(table, coeffs), table.zero(), bits=bits) is got
+    # one term on the unit, PI or tau (for an Area, a pair of them) is
+    # decided by its coefficient alone; everything else takes an enclosure
+    one_term = len(coeffs) == 1 and set(next(iter(coeffs)) if pairs else coeffs) <= {0, 1, 2}
+    assert (rungs == []) == (one_term or not coeffs)
     if not coeffs:
         assert got is Comparison.EQUAL
         return
@@ -387,3 +393,30 @@ def test_ladder_against_oracles(pairs, data, value, radius, bits):
             assert len(rungs) == len(coeffs) * (2 if pairs else 1)
         else:
             assert max(rungs) == budget
+
+
+_KNOWN_POSITIVE_PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
+
+
+@given(pairs=st.booleans(), data=st.data(), coeff=_nonzero, bits=st.sampled_from([None, 64, 512]))
+@settings(max_examples=200, deadline=None)
+def test_one_term_sign_matches_the_interval_rungs(pairs, data, coeff, bits):
+    # the one-term sign against the rungs it skips: the enclosures at 64
+    # bits and doubled budgets, climbed here by hand until one excludes 0
+    key = data.draw(st.sampled_from(_KNOWN_POSITIVE_PAIRS) if pairs else st.integers(0, 2))
+    coeffs = {key: Rat(coeff)}
+    table, rungs = _ladder_table(Fraction(1), Fraction(1, 10))
+    if pairs:
+        got = compare_area(Area(table, coeffs), Area(table, {}), bits=bits)
+    else:
+        got = table.sign(Scalar(table, coeffs), bits=bits)
+    assert rungs == []
+    interval = _product_interval if pairs else _linear_interval
+    rung = 64
+    lo, hi = interval(table, coeffs, rung)
+    while lo <= 0 <= hi:
+        rung *= 2
+        assert rung <= (bits or table.precision_bits)
+        lo, hi = interval(table, coeffs, rung)
+    assert got is (Comparison.GREATER if lo > 0 else Comparison.LESS)
+    assert got is (Comparison.GREATER if coeff > 0 else Comparison.LESS)

@@ -11,9 +11,10 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commensura._rat import Rat
@@ -22,15 +23,18 @@ from commensura.dehn import CommensurableVerdict, dehn_test, verify_measure_tili
 from commensura.errors import InternalInconsistency, PrecisionExhausted
 from commensura.graph import bars_of, cycles_of
 from commensura.scalars import Scalar, SymbolTable, commensurable, format_area
+import commensura.tilings as tilings_mod
 from commensura.tilings import (
     AnnulusRegion,
     AxisPiece,
     DiamondPiece,
     GeometricTiling,
     ProductRegion,
+    TorusRegion,
     annulus_tiling,
     product_tiling,
     psi_transform,
+    _build_grid,
     _wrap,
     serialize_tiling,
     to_measure_tiling,
@@ -502,6 +506,151 @@ def test_product_verdict_matches_point_oracle(lifts, shape, base):
                 assert _cover(pieces[first], x, y, l1, l2)[1] >= 1
                 assert _cover(pieces[second], x, y, l1, l2)[1] >= 1
     assert {"ok", "gap", "overlap"} <= statuses
+
+
+# ---------------------------------------------------------------------------
+# the two grid coordinate kinds, differentially
+# ---------------------------------------------------------------------------
+#
+# _build_grid decides on integers when every grid coordinate lies on Q*b for
+# the first period b, and through the sign ladder otherwise.  Forcing the
+# ladder on the same tiling must change nothing: not the verdict, the grid,
+# nor the measure tiling.  Tilings are guillotine cuts of an annulus band or
+# a square torus in grid coordinates, or sheared random products; "line"
+# data lies on one base (PI, h or PI + h), "mixed" data does not.
+
+
+def _band_pieces(rng, table, origin, width, height, make):
+    """Pieces cut from the box origin + [0, width] x [0, height]."""
+    u0, v0 = origin
+    pieces = []
+    for u, v, w, hgt in _random_boxes(rng, Fraction(1), Fraction(1), "rectangle"):
+        cu = u0 + width.scale(u + w / 2)
+        cv = v0 + height.scale(v + hgt / 2)
+        pieces.append(make(f"p{len(pieces)}", cu, cv, width.scale(w / 2), height.scale(hgt / 2)))
+    return pieces
+
+
+def _diamond(label, cu, cv, hu, hv):
+    half = Rat(1, 2)
+    return DiamondPiece(label, ((cu + cv).scale(half), (cu - cv).scale(half)), hu, hv)
+
+
+def _axis(label, cu, cv, hu, hv):
+    return AxisPiece(label, (cu, cv), hu, hv)
+
+
+def _random_grid_tiling(rng, kind, base, defect):
+    table = SymbolTable()
+    table.declare_decimal_symbol("h", Fraction(5, 2), Fraction(1, 10**6))
+    pi, h = table.pi(), table.symbol("h")
+    # a start of 0 ends some runs exactly at the period, where the wrap
+    # test must keep a single run
+    start = rng.choice([0, 0, Fraction(rng.randrange(1, 24), 7)])
+    if kind == "annulus":
+        if base == "line":
+            l = pi.scale(rng.choice([Fraction(7, 3), Fraction(8, 3), 3, 4]))
+        else:
+            l = rng.choice([pi.scale(2) + h, h.scale(3)])
+        region = AnnulusRegion(l)
+        period = l.scale(2)
+        pieces = _band_pieces(rng, table, (period.scale(start), pi), period, l - pi.scale(2), _diamond)
+    elif kind == "torus":
+        if base == "line":
+            period = rng.choice([pi.scale(2), h, pi + h])
+            shift = period.scale(start)
+        else:
+            period = rng.choice([h, pi + h])
+            shift = pi.scale(Fraction(1, 3))
+        region = TorusRegion(period, (1, 1))
+        pieces = _band_pieces(rng, table, (shift, table.zero()), period, period, _axis)
+    else:
+        lifts = rng.choice([(1, 1), (2, 1), (3, 2)])
+        product, *_ = _random_product(rng, lifts, rng.choice(["square", "rectangle"]), rng.choice(["PI", "h"]), "none")
+        if base == "mixed":
+            d = product.table.rational(Fraction(1, 7))
+            product = GeometricTiling(product.table, product.region, tuple(
+                DiamondPiece(p.label, (p.center[0] + d, p.center[1] + d), *p.halves) for p in product.pieces
+            ))
+        torus = psi_transform(product)
+        table, region, pieces = torus.table, torus.region, list(torus.pieces)
+        period = region.length
+    step = l if kind == "annulus" else period
+    k = rng.randrange(len(pieces))
+    p = pieces[k]
+    if defect == "drop":
+        del pieces[k]
+    elif defect == "duplicate":
+        pieces.append(p)
+    elif defect in ("shift", "off-line"):
+        d = step.scale(Fraction(1, 7)) if defect == "shift" else table.rational(Fraction(1, 7))
+        pieces[k] = type(p)(p.label, (p.center[0] + d, p.center[1]), *p.halves)
+    elif defect == "wrap":
+        pieces = [
+            type(q)(q.label, tuple(c + step.scale(rng.randrange(-2, 3)) for c in q.center), *q.halves)
+            for q in pieces
+        ]
+    rng.shuffle(pieces)
+    return GeometricTiling(table, region, tuple(pieces))
+
+
+def _on_one_line(t):
+    """Whether the region's data and every centre and half lie on Q*b for
+    the grid's first period b (the band's strips also hold PI)."""
+    region = t.region
+    annulus = isinstance(region, AnnulusRegion)
+    period = region.length.scale(2) if annulus else region.length
+    values = [region.length] + ([t.table.pi()] if annulus else [])
+    values += [x for p in t.pieces for x in p.center + p.halves]
+    return all(v.is_zero() or commensurable(period, v) is not None for v in values)
+
+
+def _grid_outcome(t):
+    """Everything the grid and its verdict expose, or the undecided marker."""
+    try:
+        grid, _ = _build_grid(t)
+        rep = verify_tiling(t)
+    except PrecisionExhausted:
+        return "undecided"
+    mt = None
+    if rep.ok:
+        mt = to_measure_tiling(t, rep)
+        mt = (mt.x_names, mt.x_measures, mt.y_names, mt.y_measures, mt.pieces, mt.labels)
+    return (
+        grid.u_breaks, grid.v_breaks, grid.boxes, grid.counts, grid.in_region, grid.strips,
+        rep.status, rep.witness, rep.pieces, rep.tiled_area, rep.region_area, mt,
+    )
+
+
+_DEFECTS = ["none", "wrap", "drop", "duplicate", "shift", "off-line"]
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["annulus", "torus", "product"]),
+    base=st.sampled_from(["line", "mixed"]),
+    defect=st.sampled_from(_DEFECTS),
+)
+@example(seed=0, kind="annulus", base="line", defect="none")
+@example(seed=0, kind="torus", base="line", defect="none")
+@settings(max_examples=150, deadline=None)
+def test_integer_grid_matches_the_ladder_grid(seed, kind, base, defect):
+    t = _random_grid_tiling(random.Random(seed), kind, base, defect)
+    on_line = _on_one_line(t)
+    if base == "line" and defect != "off-line":
+        assert on_line
+    real = tilings_mod._line_of
+    lines = []
+    with mock.patch.object(tilings_mod, "_line_of", lambda *a: lines.append(real(*a)) or lines[-1]):
+        integer = _grid_outcome(t)
+    assert lines and all(isinstance(x, tilings_mod._IntLine) is on_line for x in lines)
+    with mock.patch.object(tilings_mod, "_line_of", lambda t, *a: tilings_mod._ScalarLine(t.table)):
+        ladder = _grid_outcome(t)
+    assert integer == ladder
+    if on_line:
+        assert integer != "undecided"
+    if defect in ("none", "wrap") and integer != "undecided":
+        assert integer[6] == "ok"
 
 
 # ---------------------------------------------------------------------------
