@@ -23,7 +23,10 @@ RatLike = Union[int, Fraction]
 
 
 def as_rat(value):
-    """Coerce an int, Fraction, mpq, or digit string to the active backend."""
+    """Coerce an int, Fraction, mpq, or digit string to the active backend;
+    a value already of the backend's type is returned as it is."""
+    if isinstance(value, Rat):
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact arithmetic")
     return Rat(value)

@@ -121,46 +121,54 @@ class Chord:
         }
 
 
-def _geodesic_between(graph, trees, x: str, y: str, pi: Scalar):
-    """Distance test against pi plus the canonical geodesic; None when the
-    separation is not strictly below pi."""
+def _geodesic_between(graph: MetricGraph, x: str, y: str):
+    """Distance test against pi plus the canonical geodesic: None when the
+    separation is not strictly below pi, else (distance, geodesic, pi -
+    distance).  The answer is kept on x's shortest-path tree, so each
+    vertex pair is tested once per graph; a tie below pi is never kept and
+    raises on every query."""
+    tree = graph.tree(x)
+    if y in tree.short:
+        return tree.short[y]
     table = graph.table
-    tree = trees[x]
+    pi = table.pi()
     d0 = tree.dist[y]
     cmp = table.require(table.compare(d0, pi), "chord length test undecidable")
     if cmp is not Comparison.LESS:
-        return None
-    if tree.counts[y] != 1:
+        hit = None
+    elif tree.counts[y] != 1:
         raise InternalInconsistency(
             f"two geodesics of length below pi join {x} and {y}; "
             "the girth hypothesis cannot actually hold"
         )
-    return d0, tree.path_to(y)
+    else:
+        hit = (d0, tuple(tree.path_to(y)), pi - d0)
+    tree.short[y] = hit
+    return hit
 
 
 def chords_of_loop(loop: ImmersedLoop) -> list[Chord]:
     graph = loop.graph
-    table = graph.table
-    pi = table.pi()
     starts = loop.branch_visits()
-    trees = {vis.vertex: graph.tree(vis.vertex) for vis in starts}
+    for vis in starts:  # every tree first: an undecidable one raises before any test
+        graph.tree(vis.vertex)
     out: list[Chord] = []
     for i, a in enumerate(starts):
         for b in starts[i + 1:]:
             if a.vertex == b.vertex:
                 continue  # distance zero, never a chord
-            hit = _geodesic_between(graph, trees, a.vertex, b.vertex, pi)
+            hit = _geodesic_between(graph, a.vertex, b.vertex)
             if hit is None:
                 continue
-            d0, path = hit
+            d0, path, z = hit
             if path[0] in a.germs:
                 continue
             if reverse_germ(path[-1]) in b.germs:
                 continue
             # the escape test is symmetric, so the mirror qualifies too
             back = tuple(reverse_germ(g) for g in reversed(path))
-            out.append(Chord(a, b, d0, pi - d0, tuple(path)))
-            out.append(Chord(b, a, d0, pi - d0, back))
+            out.append(Chord(a, b, d0, z, path))
+            out.append(Chord(b, a, d0, z, back))
     out.sort(key=lambda ch: (ch.s.index, ch.t.index))
     return out
 
@@ -191,24 +199,23 @@ class SubgraphChord:
 def chords_of_subgraph(graph: MetricGraph, sub: Subgraph) -> list[SubgraphChord]:
     """Short geodesics between subgraph vertices leaving the subgraph at
     both ends (first and last geodesic edge outside it)."""
-    table = graph.table
-    pi = table.pi()
     verts = list(sub.vertices)
-    trees = {v: graph.tree(v) for v in verts}
+    for v in verts:  # every tree first, as in chords_of_loop
+        graph.tree(v)
     out: list[SubgraphChord] = []
     for i, x in enumerate(verts):
         for y in verts[i + 1:]:
-            hit = _geodesic_between(graph, trees, x, y, pi)
+            hit = _geodesic_between(graph, x, y)
             if hit is None:
                 continue
-            d0, path = hit
+            d0, path, z = hit
             if path[0][0].id in sub.edge_set:
                 continue
             if path[-1][0].id in sub.edge_set:
                 continue
             back = tuple(reverse_germ(g) for g in reversed(path))
-            out.append(SubgraphChord(x, y, d0, pi - d0, tuple(path)))
-            out.append(SubgraphChord(y, x, d0, pi - d0, back))
+            out.append(SubgraphChord(x, y, d0, z, path))
+            out.append(SubgraphChord(y, x, d0, z, back))
     order = {v: i for i, v in enumerate(verts)}
     out.sort(key=lambda ch: (order[ch.x], order[ch.y]))
     return out

@@ -40,6 +40,9 @@ from .scalars import (
 )
 
 
+_ZERO = Rat(0)
+
+
 class MeasureTiling:
     def __init__(
         self,
@@ -173,7 +176,7 @@ def solve_functional(equations: list[tuple[Scalar, Rat]]) -> dict[int, Rat]:
     solution is keyed by those indices.
     """
     cols = sorted({i for s, _ in equations for i in s.coeffs})
-    columns = [[s.coeffs.get(c, Rat(0)) for s, _ in equations] for c in cols]
+    columns = [[s.coeffs.get(c, _ZERO) for s, _ in equations] for c in cols]
     (x,) = solve(columns, [[as_rat(rhs) for _, rhs in equations]])
     if x is None:
         raise ValueError("inconsistent functional constraints")
@@ -327,32 +330,36 @@ def dehn_plus_test(t: MeasureTiling, q: Scalar, r: Scalar, a, designated: Sequen
     a = as_rat(a)
     designated = sorted(set(designated))
 
-    if t.mu_x() != q.scale(2) + r.scale(a):
+    # every measure once; kept local, since callers hold many tilings
+    mu_x, mu_y = t.mu_x(), t.mu_y()
+    mu_a = [t.mu_a(i) for i in range(len(t.pieces))]
+    mu_b = [t.mu_b(i) for i in range(len(t.pieces))]
+    if mu_x != q.scale(2) + r.scale(a):
         raise AuditFailure(1, "muX is not 2q + a*r")
-    if t.mu_y() != q + r.scale(a / 2 - 1):
+    if mu_y != q + r.scale(a / 2 - 1):
         raise AuditFailure(1, "muY is not q + (a/2 - 1)*r")
 
     want = {r.key(), (q + r).key()}
     for i in (0, 1):
         if i >= len(t.pieces):
             raise AuditFailure(2, "missing rectangle piece")
-        got = {t.mu_a(i).key(), t.mu_b(i).key()}
+        got = {mu_a[i].key(), mu_b[i].key()}
         if got != want:
             raise AuditFailure(2, f"piece {i} is not an r by q+r rectangle")
 
     for i in range(2, len(t.pieces)):
-        if t.mu_a(i) != t.mu_b(i):
+        if mu_a[i] != mu_b[i]:
             raise AuditFailure(3, f"piece {i} is not square")
 
     rho: dict[int, Rat] = {}
     for i in designated:
         if i < 2:
             raise AuditFailure(4, "designated index points at a rectangle")
-        ratio = commensurable(r, t.mu_a(i))
+        ratio = commensurable(r, mu_a[i])
         if ratio is None:
             raise AuditFailure(4, f"designated piece {i} is not commensurable with r")
         rho[i] = ratio
-    square_sum = sum_terms((t.mu_a(i) * t.mu_a(i) for i in designated), Area(table, {}))
+    square_sum = sum_terms((mu_a[i] * mu_a[i] for i in designated), Area(table, {}))
     bound = (r * r).scale(a - 4)
     cmp = table.require(
         compare_area(square_sum, bound), "designated square bound undecidable"
@@ -365,12 +372,12 @@ def dehn_plus_test(t: MeasureTiling, q: Scalar, r: Scalar, a, designated: Sequen
         return QRCommensurable(ratio_qr)
 
     f = solve_functional([(q, a / 2 - 1), (r, Rat(-1))])
-    f_mu_x = apply_functional(f, t.mu_x())
-    f_mu_y = apply_functional(f, t.mu_y())
+    f_mu_x = apply_functional(f, mu_x)
+    f_mu_y = apply_functional(f, mu_y)
     if f_mu_x != -2 or f_mu_y != 0:
         raise InternalInconsistency("functional does not reproduce the audited totals")
     rect_products = [
-        apply_functional(f, t.mu_a(i)) * apply_functional(f, t.mu_b(i)) for i in (0, 1)
+        apply_functional(f, mu_a[i]) * apply_functional(f, mu_b[i]) for i in (0, 1)
     ]
     if any(p != 2 - a / 2 for p in rect_products):
         raise InternalInconsistency("rectangle contributions drifted from 2 - a/2")

@@ -34,7 +34,12 @@ from .dehn import (
     dehn_plus_test,
     dehn_test,
 )
-from .errors import AuditFailure, EnumerationCapExceeded, InternalInconsistency
+from .errors import (
+    AuditFailure,
+    EnumerationCapExceeded,
+    InternalInconsistency,
+    PrecisionExhausted,
+)
 from .graph import (
     DEFAULT_CYCLE_CAP,
     BarTriple,
@@ -243,12 +248,19 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
             f"annulus tiling of cycle {sorted(cycle.edge_ids)} failed: {report.status}"
         )
     bound = table.pi(Rat(2)) * (cycle.length - table.pi(Rat(2)))
+    # the squares clear of a visit are all squares but those at its chords
+    no_area = Area(table, {})
+    incident: dict = {vis.index: [] for vis in loop.visits}
+    areas = []
+    for ch in chords:
+        area = ch.square_area()
+        areas.append(area)
+        incident[ch.s.index].append(area)
+        incident[ch.t.index].append(area)
+    every = sum_terms(areas, no_area)
     checks = []
     for vis in loop.visits:
-        total = sum_terms(
-            (ch.square_area() for ch in chords if vis.index not in (ch.s.index, ch.t.index)),
-            table.zero() * table.zero(),
-        )
+        total = every - sum_terms(incident[vis.index], no_area)
         cmp = table.require(compare_area(total, bound), "avoidance bound")
         checks.append(AreaCheck(vis.vertex, vis.position, total, bound, cmp is not Comparison.LESS))
     bad = [c for c in checks if not c.ok]
@@ -687,6 +699,11 @@ def analyze(
                     f"segment length {format_scalar(seg.length)} is not a rational multiple of PI"
                 )
             seg_out.append(SegmentAnalysis(seg, ratio, terms, verified))
+    except (EnumerationCapExceeded, PrecisionExhausted) as exc:
+        # still a resource limit, now saying where it was hit
+        where = f"stage {stage}" if subject is None else f"stage {stage}, subject {subject}"
+        exc.args = (f"{exc} ({where})",)
+        raise
     except InternalInconsistency as exc:
         failure = {
             "kind": "internal-inconsistency",

@@ -14,7 +14,7 @@ answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -248,6 +248,9 @@ class SourceTree:
     dist: dict
     pred: dict  # vertex -> canonical predecessor germ (arrival germ)
     counts: dict  # vertex -> number of shortest paths, saturated at 2
+    # target vertex -> the chord test's answer, filled by
+    # chords._geodesic_between on first query and dropped with the tree
+    short: dict = field(default_factory=dict, compare=False, repr=False)
 
     def path_to(self, v: str) -> list[Germ]:
         """The canonical shortest path as a germ sequence from the source."""

@@ -44,6 +44,7 @@ _LADDER_START = 64
 _POSITIVE_KINDS = ("unit", "pi")
 
 RatPair = tuple  # (lo, hi) rational interval
+_ZERO = Rat(0)
 
 
 class Comparison(Enum):
@@ -221,7 +222,7 @@ class SymbolTable:
             if set(err.coeffs) - {0}:
                 raise ValueError("error radius must be rational")
             return self.declare_decimal_symbol(
-                parts[1], Rat(Fraction(parts[2])), err.coeffs.get(0, Rat(0))
+                parts[1], Rat(Fraction(parts[2])), err.coeffs.get(0, _ZERO)
             )
         raise ValueError("expected 'symbol NAME pi' or 'symbol NAME <decimal> err <rational>'")
 
@@ -394,14 +395,14 @@ def sum_terms(items: Iterable, start):
     for item in items:
         _check_same_table(start, item)
         for k, v in item.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + v
+            coeffs[k] = coeffs[k] + v if k in coeffs else v
     return type(start)(start.table, {k: v for k, v in coeffs.items() if v})
 
 
 def _sub_maps(x: dict, y: dict) -> dict:
     out = dict(x)
     for k, v in y.items():
-        nv = out.get(k, Rat(0)) - v
+        nv = out[k] - v if k in out else -v
         if nv:
             out[k] = nv
         else:
@@ -412,7 +413,7 @@ def _sub_maps(x: dict, y: dict) -> dict:
 def _add_maps(x: dict, y: dict) -> dict:
     out = dict(x)
     for k, v in y.items():
-        nv = out.get(k, Rat(0)) + v
+        nv = out[k] + v if k in out else v
         if nv:
             out[k] = nv
         else:
@@ -463,7 +464,8 @@ class Scalar:
             for i, ci in self.coeffs.items():
                 for j, cj in other.coeffs.items():
                     key = (i, j) if i <= j else (j, i)
-                    nv = coeffs.get(key, Rat(0)) + ci * cj
+                    cc = ci * cj
+                    nv = coeffs[key] + cc if key in coeffs else cc
                     if nv:
                         coeffs[key] = nv
                     else:

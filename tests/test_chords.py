@@ -5,9 +5,13 @@ takes the exact minimum, counts minimisers, and applies the escape rules
 directly.  It shares nothing with the Dijkstra-based implementation.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commensura.chords import (
     ImmersedLoop,
@@ -18,7 +22,8 @@ from commensura.chords import (
     loop_from_cycle,
 )
 from commensura.errors import InternalInconsistency
-from commensura.graph import Subgraph, bars_of, cycles_of, girth
+from commensura.generators import generate
+from commensura.graph import Subgraph, bars_of, cycles_of, girth, parse_graph
 from commensura.scalars import Comparison, Scalar
 from commensura.tilings import annulus_tiling
 
@@ -241,6 +246,95 @@ def test_nonunique_short_geodesic_is_inconsistent():
     cyc = next(c for c in cycles_of(g.whole()) if c.edge_ids == frozenset({"p1", "p2"}))
     with pytest.raises(InternalInconsistency):
         chords_of_loop(loop_from_cycle(g, cyc))
+
+
+def test_nonunique_short_geodesic_raises_on_every_query():
+    graph = parse_graph(generate("theta"))  # three unit strands: u-v geodesics tie
+    cyc = cycles_of(graph.whole())[0]
+    for _ in range(3):
+        with pytest.raises(InternalInconsistency, match="two geodesics"):
+            chords_of_loop(loop_from_cycle(graph, cyc))
+        with pytest.raises(InternalInconsistency, match="two geodesics"):
+            chords_of_subgraph(graph, Subgraph(graph, tuple(cyc.edge_ids)))
+
+
+# ---------------------------------------------------------------------------
+# the chord-test memo on shortest-path trees
+# ---------------------------------------------------------------------------
+
+MEMO_GRAPHS = {
+    "heawood": generate("heawood"),
+    "perturbed": generate("perturb", base="heawood", edge="e0", delta="1/10"),
+    "theta": generate("theta"),
+    "theta-mixed": "vertex u\nvertex v\nedge s0 u v 1\nedge s1 u v PI - 1\nedge s2 u v PI - 1\n",
+}
+
+
+@lru_cache(maxsize=None)
+def _query_pool(name):
+    """Every cycle loop, bar loop, cycle subgraph and disjoint-pair
+    subgraph of a graph, as edge ids that any parse of it can rebuild."""
+    g = parse_graph(MEMO_GRAPHS[name])
+    sub = g.whole()
+    cycles = cycles_of(sub)
+    loops = [loop_from_cycle(g, c) for c in cycles]
+    loops += [bar_loop(g, b) for b in bars_of(sub, cycles)]
+    pool = [("loop", tuple((e.id, end) for e, end in lp.steps)) for lp in loops]
+    pool += [("sub", tuple(sorted(c.edge_ids))) for c in cycles]
+    pool += [
+        ("sub", tuple(sorted(c1.edge_ids | c2.edge_ids)))
+        for i, c1 in enumerate(cycles)
+        for c2 in cycles[i + 1:]
+        if not c1.vertices & c2.vertices
+    ]
+    pool.append(("sub", tuple(e.id for e in g.edges)))
+    return pool
+
+
+def _chord_answer(graph, query):
+    kind, data = query
+    try:
+        if kind == "loop":
+            loop = ImmersedLoop(graph, [(graph.edge_by_id[eid], end) for eid, end in data])
+            chords = chords_of_loop(loop)
+            return [
+                (c.s.index, c.t.index, c.as_report(), [(g[0].id, g[1]) for g in c.geodesic])
+                for c in chords
+            ]
+        chords = chords_of_subgraph(graph, Subgraph(graph, data))
+        return [(c.as_report(), [(g[0].id, g[1]) for g in c.geodesic]) for c in chords]
+    except InternalInconsistency as exc:
+        return ("raises", str(exc))
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(MEMO_GRAPHS)), seed=st.integers(0, 2**32 - 1))
+def test_chord_memo_matches_a_fresh_graph_per_query(name, seed):
+    rng = random.Random(seed)
+    pool = _query_pool(name)
+    queries = rng.sample(pool, min(len(pool), 8))
+    queries += rng.choices(queries, k=3)  # repeats read the memo
+    text = MEMO_GRAPHS[name]
+    shared = parse_graph(text)
+    for query in queries:
+        assert _chord_answer(shared, query) == _chord_answer(parse_graph(text), query)
+
+
+def test_add_edge_drops_the_chord_memo():
+    # a ring of six pi/3 edges: opposite vertices sit exactly pi apart
+    g = circle(6, {1: Fraction(1, 3)})
+    ring = tuple(e.id for e in g.edges)
+    assert chords_of_subgraph(g, Subgraph(g, ring)) == []
+    old = g.tree("v0")
+    assert old.short  # the answers were kept on the tree
+    g.add_vertex("c")
+    g.add_edge("s1", "v0", "c", g.table.pi(Fraction(1, 4)))
+    assert not g.tree("v0").short
+    g.add_edge("s2", "c", "v3", g.table.pi(Fraction(1, 4)))
+    assert g.tree("v0") is not old and not g.tree("v0").short
+    chords = chords_of_subgraph(g, Subgraph(g, ring))
+    assert {(c.x, c.y) for c in chords} == {("v0", "v3"), ("v3", "v0")}
+    assert all(c.distance == g.table.pi(Fraction(1, 2)) for c in chords)
 
 
 # ---------------------------------------------------------------------------

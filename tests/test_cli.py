@@ -314,6 +314,15 @@ def test_negative_cycle_cap_is_usage_error(capsys, heawood_path, where):
     assert err.startswith("error: --cycle-cap")
 
 
+@pytest.mark.parametrize("cap, stage", [(5, "cycles"), (300, "bars")])
+def test_cycle_cap_names_the_stage_that_hit_it(capsys, heawood_path, cap, stage):
+    # Heawood has 213 cycles and 336 bars, so a cap of 300 stops at the bars
+    code, out, err = run(capsys, "analyze", heawood_path, "--cycle-cap", str(cap))
+    assert code == 4
+    assert out == ""
+    assert err == f"resource limit: enumeration exceeded cap of {cap} (stage {stage})\n"
+
+
 def test_plot_export_rejected_without_tiling(capsys, heawood_path):
     code, _, err = run(capsys, "--export-plot", "/tmp/x.tsv", "check", heawood_path)
     assert code == 1

@@ -1,6 +1,7 @@
 import gc
 import json
 import types
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -15,7 +16,13 @@ from commensura.engine import (
     decompose_segment,
 )
 from commensura import generators
-from commensura.errors import InternalInconsistency, NonpositiveLength
+from commensura import chords as chords_mod
+from commensura.errors import (
+    EnumerationCapExceeded,
+    InternalInconsistency,
+    NonpositiveLength,
+    PrecisionExhausted,
+)
 from commensura.linalg import solve
 from commensura.generators import (
     GaloisField,
@@ -34,8 +41,10 @@ from commensura.graph import (
     parse_graph,
     segments_of,
 )
-from commensura.scalars import SymbolTable, format_scalar
+from commensura.scalars import Area, SymbolTable, format_scalar, sum_terms
 from commensura.tilings import _Grid, verify_tiling
+
+from test_chords import k44 as k44_graph
 
 
 def pi_times(table, num, den=1):
@@ -568,6 +577,89 @@ def test_analyze_perturbed_heawood_fails_diameter_exactly(heawood):
     hint = a.failure["incommensurable_cycle"]
     assert hint["length"] == "2*PI + 1"
     assert "e0" in hint["edges"] and len(hint["edges"]) == 6
+
+
+def _direct_area_totals(result):
+    """The squares clear of each visit, summed afresh from the chord list."""
+    table = result.cycle.length.table
+    return [
+        sum_terms(
+            (ch.square_area() for ch in result.chords if vis.index not in (ch.s.index, ch.t.index)),
+            Area(table, {}),
+        )
+        for vis in result.loop.visits
+    ]
+
+
+def test_area_totals_match_direct_sums(heawood_analysis):
+    results = list(heawood_analysis.cycles)
+    k44 = analyze(k44_graph())
+    assert k44.conformant
+    results += k44.cycles
+    # no one-edge perturbation of Heawood passes the audit (longer breaks
+    # the diameter bound, shorter the girth), so take every cycle that
+    # analyze_cycle still certifies there
+    for delta in ("1/6*PI", "2/3*PI"):
+        g = build("perturb", base="heawood", edge="e0", delta=delta)
+        for c in cycles_of(g.whole()):
+            try:
+                results.append(analyze_cycle(g, c))
+            except InternalInconsistency:
+                continue
+    assert sum(1 for r in results if r.chords) > 300
+    for r in results:
+        direct = _direct_area_totals(r)
+        assert [c.total for c in r.area_checks] == direct
+        assert [c.vertex for c in r.area_checks] == [v.vertex for v in r.loop.visits]
+
+
+def test_heawood_analyze_tests_each_vertex_pair_once_and_each_square_once():
+    """Work-count guard: the chord test runs at most once per ordered
+    vertex pair, and each cycle chord's square area is built once."""
+    real_geodesic = chords_mod._geodesic_between
+    real_compare = SymbolTable.compare
+    inside = []
+    from_geodesic = 0
+
+    def geodesic(*args):
+        inside.append(True)
+        try:
+            return real_geodesic(*args)
+        finally:
+            inside.pop()
+
+    def compare(self, *args, **kwargs):
+        nonlocal from_geodesic
+        from_geodesic += bool(inside)
+        return real_compare(self, *args, **kwargs)
+
+    square_area = chords_mod.Chord.square_area
+    with mock.patch.object(chords_mod, "_geodesic_between", geodesic), mock.patch.object(
+        SymbolTable, "compare", compare
+    ), mock.patch.object(chords_mod.Chord, "square_area", autospec=True, side_effect=square_area) as sq:
+        a = analyze(build("heawood"))
+    assert a.conformant
+    assert 0 < from_geodesic <= 14 * 13
+    assert sq.call_count == sum(len(c.chords) for c in a.cycles) > 0
+
+
+def test_resource_limits_name_stage_and_subject(monkeypatch):
+    import commensura.engine as engine_mod
+
+    g = build("theta", strands=3, length="PI")
+
+    def undecided(graph, cycle):
+        raise PrecisionExhausted("chord length test undecidable")
+
+    monkeypatch.setattr(engine_mod, "analyze_cycle", undecided)
+    with pytest.raises(PrecisionExhausted) as info:
+        analyze(g)
+    assert str(info.value) == "chord length test undecidable (stage cycles, subject s0, s1)"
+
+    with pytest.raises(EnumerationCapExceeded) as info:
+        analyze(g, cycle_cap=2)
+    assert info.value.cap == 2
+    assert str(info.value) == "enumeration exceeded cap of 2 (stage cycles)"
 
 
 def test_analyze_on_declared_subgraph(heawood, heawood_analysis):

@@ -119,3 +119,39 @@ def test_float_allowances_are_in_use():
         for scope, _ in _float_uses(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == FLOAT_ALLOWED
+
+
+# A .get(...) default is evaluated on every call, hit or miss, so a rational
+# built there is thrown away whenever the key is present; a shared constant
+# or an explicit membership test does the same job.
+RATIONAL_BUILDERS = {"Rat", "Fraction"}
+
+
+def _rational_get_defaults(tree: ast.Module) -> list:
+    """Lines of ``.get(key, default)`` calls whose default calls Rat or Fraction."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr != "get" or len(node.args) < 2:
+            continue
+        for sub in ast.walk(node.args[1]):
+            if (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Name)
+                and sub.func.id in RATIONAL_BUILDERS
+            ):
+                out.append(node.lineno)
+                break
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_rational_built_as_a_get_default(path):
+    lines = _rational_get_defaults(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}: .get(...) builds a rational default at lines {lines}"
+
+
+def test_rational_get_default_rule_sees_one():
+    tree = ast.parse("x = d.get(k, Rat(0)) + e.get(k, -Fraction(1, 2))\ny = d.get(k, ZERO)\n")
+    assert _rational_get_defaults(tree) == [1, 1]
