@@ -152,12 +152,12 @@ def verify_measure_tiling(t: MeasureTiling, skip_square: frozenset[int] = frozen
 
 
 def apply_functional(f: dict[int, Rat], s: Scalar) -> Rat:
-    total = Rat(0)
-    for idx, coeff in s.coeffs.items():
+    total = _ZERO
+    for idx, n in s.num.items():
         fv = f.get(idx)
         if fv is not None:
-            total += coeff * fv
-    return total
+            total += n * fv
+    return total / s.den
 
 
 def functional_identity(t: MeasureTiling, f: dict[int, Rat]) -> tuple[Rat, Rat]:
@@ -173,11 +173,12 @@ def solve_functional(equations: list[tuple[Scalar, Rat]]) -> dict[int, Rat]:
     """Least-support rational solution of f(s_k) = c_k; free variables zero.
 
     The unknowns are f at every symbol index the equations mention, and the
-    solution is keyed by those indices.
+    solution is keyed by those indices.  Equation k is multiplied through by
+    the denominator of s_k, so its row is s_k's integer numerators.
     """
-    cols = sorted({i for s, _ in equations for i in s.coeffs})
-    columns = [[s.coeffs.get(c, _ZERO) for s, _ in equations] for c in cols]
-    (x,) = solve(columns, [[as_rat(rhs) for _, rhs in equations]])
+    cols = sorted({i for s, _ in equations for i in s.num})
+    columns = [[s.num.get(c, 0) for s, _ in equations] for c in cols]
+    (x,) = solve(columns, [[as_rat(rhs) * s.den for s, rhs in equations]])
     if x is None:
         raise ValueError("inconsistent functional constraints")
     return dict(zip(cols, x))
@@ -224,28 +225,21 @@ class DehnCertificate:
         }
 
 
-def _canonical_base(table: SymbolTable, sample: Scalar) -> Scalar:
-    items = sorted(sample.coeffs.items())
-    denom_lcm = 1
-    for _, v in items:
-        q = as_rat(v).denominator
-        denom_lcm = denom_lcm * q // math.gcd(denom_lcm, q)
-    ints = [(idx, int(as_rat(v) * denom_lcm)) for idx, v in items]
-    g = 0
-    for _, n in ints:
-        g = math.gcd(g, n)
-    if ints[0][1] < 0:
+def _canonical_base(sample: Scalar) -> Scalar:
+    """The primitive integer vector on sample's direction whose term on the
+    lowest symbol index is positive."""
+    g = math.gcd(*sample.num.values())
+    if sample.num[min(sample.num)] < 0:
         g = -g
-    return Scalar(table, {idx: Rat(n, g) for idx, n in ints})
+    return sample.scale(Rat(sample.den, g))
 
 
 def dehn_test(t: MeasureTiling):
     """CommensurableVerdict when all measures share one rational direction,
     else a DehnCertificate whose functional makes the square axioms absurd.
     """
-    table = t.table
     elements = t.x_measures + t.y_measures
-    base = _canonical_base(table, elements[0])
+    base = _canonical_base(elements[0])
     ratios = [commensurable(base, m) for m in elements]
     if all(r is not None for r in ratios):
         nx = len(t.x_measures)

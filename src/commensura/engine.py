@@ -505,9 +505,9 @@ class SegmentAnalysis:
 
 
 def _edge_vector(edge_index: dict, ids) -> list:
-    v = [Rat(0)] * len(edge_index)
+    v = [0] * len(edge_index)
     for eid in ids:
-        v[edge_index[eid]] = Rat(1)
+        v[edge_index[eid]] = 1
     return v
 
 
@@ -631,6 +631,13 @@ def _incommensurable_cycle_hint(sub: Subgraph, cap: int) -> Optional[dict]:
     return None
 
 
+def _name_stage(exc: Exception, stage: str, subject: Optional[str]) -> None:
+    """Add the stage, and the object it was working on, to a resource
+    limit's message; it stays the same error with the same exit code."""
+    where = f"stage {stage}" if subject is None else f"stage {stage}, subject {subject}"
+    exc.args = (f"{exc} ({where})",)
+
+
 def analyze(
     graph: MetricGraph,
     sub: Optional[Subgraph] = None,
@@ -649,7 +656,11 @@ def analyze(
     """
     if sub is None:
         sub = graph.whole()
-    audit = check_hypotheses(graph, sub)
+    try:
+        audit = check_hypotheses(graph, sub)
+    except (EnumerationCapExceeded, PrecisionExhausted) as exc:
+        _name_stage(exc, "audit", None)
+        raise
     empty = dict(cycles=(), pairs=(), bars=(), segments=())
     if not audit.ok:
         failure = {
@@ -700,9 +711,7 @@ def analyze(
                 )
             seg_out.append(SegmentAnalysis(seg, ratio, terms, verified))
     except (EnumerationCapExceeded, PrecisionExhausted) as exc:
-        # still a resource limit, now saying where it was hit
-        where = f"stage {stage}" if subject is None else f"stage {stage}, subject {subject}"
-        exc.args = (f"{exc} ({where})",)
+        _name_stage(exc, stage, subject)
         raise
     except InternalInconsistency as exc:
         failure = {

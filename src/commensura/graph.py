@@ -213,7 +213,7 @@ class PointOnGraph:
 
     def as_vertex(self, graph: MetricGraph) -> Optional[str]:
         edge = graph.edge_by_id[self.edge_id]
-        if not self.offset.coeffs:
+        if self.offset.is_zero():
             return edge.u
         if self.offset == edge.length:
             return edge.v
@@ -424,12 +424,24 @@ class _Line:
         self.cb = cb
 
 
+def _gradient_difference(cx: int, x: Scalar, cy: int, y: Scalar) -> Scalar:
+    """cx*x - cy*y, adding where cy < 0 so that y is never negated; scale
+    by a gradient 0 or 1 returns an existing Scalar."""
+    if cy < 0:
+        return x.scale(cx) + y.scale(-cy)
+    return x.scale(cx) - y.scale(cy)
+
+
 def _intersect(l1: _Line, l2: _Line, table: SymbolTable):
+    # gradients lie in {0, +-1, +-2}, so det is 0, +-1, +-2, +-4 or +-8
     det = l1.ca * l2.cb - l1.cb * l2.ca
     if det == 0:
         return None
-    alpha = (l1.cb * l2.c0 - l2.cb * l1.c0).scale(Rat(1, det))
-    beta = (l2.ca * l1.c0 - l1.ca * l2.c0).scale(Rat(1, det))
+    alpha = _gradient_difference(l1.cb, l2.c0, l2.cb, l1.c0)
+    beta = _gradient_difference(l2.ca, l1.c0, l1.ca, l2.c0)
+    if det != 1:
+        inv = Rat(1, det)
+        alpha, beta = alpha.scale(inv), beta.scale(inv)
     return alpha, beta
 
 

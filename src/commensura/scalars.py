@@ -20,6 +20,14 @@ Products of Scalars live in a separate Area type whose basis is unordered
 symbol pairs.  Areas support addition, rational scaling and the same
 certified comparisons; they never multiply further.
 
+Both types store integer numerators over one common denominator: ``num``
+maps each basis key to a nonzero Python int and ``den`` is a positive int,
+reduced so that gcd(den, *num.values()) == 1 (zero is ``({}, 1)``).  That
+form is canonical, so equality and hashing read it directly, and all
+arithmetic runs on ints with one normalisation per result.  Rationals
+(``Rat``) appear only at the boundary: parsing, formatting, the ``coeffs``
+view and the ratios the decisions return.
+
 Instances are immutable after construction; the only internal mutation is a
 monotone enclosure cache, which only ever shrinks intervals, so concurrent
 readers stay sound.
@@ -31,6 +39,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from ._rat import Rat, as_rat, rat_str
@@ -187,6 +196,9 @@ class SymbolTable:
             _Symbol("PI", "pi"),
         ]
         self._index: dict[str, int] = {"1": 0, "PI": 1}
+        # shared immutable instances: zero of each type, and PI
+        self._zeros = {Scalar: Scalar._make(self, {}, 1), Area: Area._make(self, {}, 1)}
+        self._pi = Scalar._make(self, {1: 1}, 1)
 
     # -- declarations -------------------------------------------------------
 
@@ -219,10 +231,10 @@ class SymbolTable:
             if not _DECIMAL_RE.match(parts[2]):
                 raise ValueError(f"bad decimal {parts[2]!r}")
             err = parse_scalar(self, parts[4])
-            if set(err.coeffs) - {0}:
+            if set(err.num) - {0}:
                 raise ValueError("error radius must be rational")
             return self.declare_decimal_symbol(
-                parts[1], Rat(Fraction(parts[2])), err.coeffs.get(0, _ZERO)
+                parts[1], Rat(Fraction(parts[2])), Rat(err.num.get(0, 0), err.den)
             )
         raise ValueError("expected 'symbol NAME pi' or 'symbol NAME <decimal> err <rational>'")
 
@@ -268,20 +280,24 @@ class SymbolTable:
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return Scalar(self, {})
+        return self._zeros[Scalar]
 
     def rational(self, value) -> "Scalar":
-        value = as_rat(value)
-        return Scalar(self, {0: value} if value else {})
+        return self._term(0, value)
 
     def pi(self, coeff=1) -> "Scalar":
-        coeff = as_rat(coeff)
-        return Scalar(self, {1: coeff} if coeff else {})
+        return self._term(1, coeff)
 
     def symbol(self, name: str, coeff=1) -> "Scalar":
-        coeff = as_rat(coeff)
-        idx = self.index_of(name)
-        return Scalar(self, {idx: coeff} if coeff else {})
+        return self._term(self.index_of(name), coeff)
+
+    def _term(self, idx: int, coeff) -> "Scalar":
+        p, q = _ratio(coeff)
+        if not p:
+            return self._zeros[Scalar]
+        if idx == 1 and p == q == 1:
+            return self._pi
+        return Scalar._make(self, {idx: p}, q)
 
     def parse(self, text: str) -> "Scalar":
         return parse_scalar(self, text)
@@ -290,6 +306,10 @@ class SymbolTable:
 
     def _ladder(self, coeffs: dict, bits: int | None, pairs: bool = False) -> Comparison:
         """The one certified sign decision, for a nonzero coefficient map.
+
+        Callers pass integer numerators: a positive multiple of the value
+        has its sign, and every enclosure below scales exactly with it, so
+        each rung decides just as it would on the rational map.
 
         A single term on a known-positive symbol (the unit or a PI-kind
         symbol; for an Area, a pair of them) has the sign of its
@@ -324,16 +344,16 @@ class SymbolTable:
             cur = min(cur * 2, budget)
 
     def compare(self, a: "Scalar", b: "Scalar", bits: int | None = None) -> Comparison:
-        _check_same_table(a, b)
-        diff = _sub_maps(a.coeffs, b.coeffs)
+        # the numerators of a - b: its value times a positive den
+        diff = (a - b).num
         if not diff:
             return Comparison.EQUAL
         return self._ladder(diff, bits)
 
     def sign(self, a: "Scalar", bits: int | None = None) -> Comparison:
-        if not a.coeffs:
+        if not a.num:
             return Comparison.EQUAL
-        return self._ladder(a.coeffs, bits)
+        return self._ladder(a.num, bits)
 
     def require(self, cmp: Comparison, context: str = "") -> Comparison:
         if cmp is Comparison.INDETERMINATE:
@@ -342,8 +362,8 @@ class SymbolTable:
 
     def approx(self, a: "Scalar", bits: int = 64):
         """Rational midpoint of an enclosure; presentation only."""
-        lo, hi = _linear_interval(self, a.coeffs, bits)
-        return (lo + hi) / 2
+        lo, hi = _linear_interval(self, a.num, bits)
+        return (lo + hi) / (2 * a.den)
 
 
 def _linear_interval(table: SymbolTable, coeffs: dict, bits: int) -> RatPair:
@@ -385,145 +405,180 @@ def _check_same_table(a, b) -> None:
         raise MixedSymbolTables("operands come from different symbol tables")
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, as Python ints."""
+    if type(value) is int:
+        return value, 1
+    value = as_rat(value)
+    return int(value.numerator), int(value.denominator)
+
+
 def sum_terms(items: Iterable, start):
     """``start`` plus every item: Scalars, or Areas, of start's table.
 
-    The terms accumulate into one coefficient map and the zero coefficients
-    are dropped once at the end; the result has start's type.
+    The terms accumulate as integers over the lcm of the denominators seen
+    so far and are reduced once at the end; the result has start's type.
     """
-    coeffs = dict(start.coeffs)
+    num = dict(start.num)
+    den = start.den
     for item in items:
         _check_same_table(start, item)
-        for k, v in item.coeffs.items():
-            coeffs[k] = coeffs[k] + v if k in coeffs else v
-    return type(start)(start.table, {k: v for k, v in coeffs.items() if v})
+        m = 1
+        if item.den != den:
+            common = lcm(den, item.den)
+            if common != den:
+                up = common // den
+                num = {k: v * up for k, v in num.items()}
+                den = common
+            m = den // item.den
+        for k, v in item.num.items():
+            if m != 1:
+                v *= m
+            num[k] = num[k] + v if k in num else v
+    return type(start)._reduced(start.table, {k: v for k, v in num.items() if v}, den)
 
 
-def _sub_maps(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        nv = out[k] - v if k in out else -v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
+class _Combination:
+    """Immutable combination of basis keys with rational coefficients, kept
+    as integer numerators ``num`` over one denominator ``den`` in the
+    canonical form of the module docstring."""
 
-
-def _add_maps(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        nv = out[k] + v if k in out else v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-class Scalar:
-    """Immutable rational combination of table symbols."""
-
-    __slots__ = ("table", "coeffs", "_key")
+    __slots__ = ("table", "num", "den", "_key")
 
     def __init__(self, table: SymbolTable, coeffs: dict):
+        """From a map key -> rational; zero coefficients are dropped."""
+        terms = [(k, _ratio(v)) for k, v in coeffs.items() if v]
+        den = lcm(*(q for _, (_, q) in terms))
         self.table = table
-        self.coeffs = coeffs
+        self.num = {k: p * (den // q) for k, (p, q) in terms}
+        self.den = den
         self._key = None
 
+    @classmethod
+    def _make(cls, table: SymbolTable, num: dict, den: int):
+        """An instance from a map already in canonical form."""
+        obj = cls.__new__(cls)
+        obj.table = table
+        obj.num = num
+        obj.den = den
+        obj._key = None
+        return obj
+
+    @classmethod
+    def _reduced(cls, table: SymbolTable, num: dict, den: int):
+        """An instance from nonzero numerators over a positive den."""
+        if not num:
+            return table._zeros[cls]
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        return cls._make(table, num, den)
+
+    @property
+    def coeffs(self) -> dict:
+        """The rational view key -> Rat, built on each read."""
+        den = self.den
+        return {k: Rat(v, den) for k, v in self.num.items()}
+
     def key(self) -> tuple:
-        """Hashable canonical form (sorted coefficient items)."""
+        """Hashable canonical form."""
         if self._key is None:
-            self._key = tuple(sorted(self.coeffs.items()))
+            self._key = (self.den, tuple(sorted(self.num.items())))
         return self._key
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
-    def __add__(self, other: "Scalar") -> "Scalar":
+    def _plus(self, other, sign: int):
+        """self + sign * other."""
         _check_same_table(self, other)
-        return Scalar(self.table, _add_maps(self.coeffs, other.coeffs))
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign > 0 else -other
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        num = dict(self.num) if ma == 1 else {k: v * ma for k, v in self.num.items()}
+        for k, v in other.num.items():
+            v *= mb
+            if k in num:
+                nv = num[k] + v
+                if nv:
+                    num[k] = nv
+                else:
+                    del num[k]
+            else:
+                num[k] = v
+        return self._reduced(self.table, num, den)
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        _check_same_table(self, other)
-        return Scalar(self.table, _sub_maps(self.coeffs, other.coeffs))
+    def __add__(self, other):
+        return self._plus(other, 1)
 
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.table, {k: -v for k, v in self.coeffs.items()})
+    def __sub__(self, other):
+        return self._plus(other, -1)
 
-    def scale(self, factor) -> "Scalar":
-        factor = as_rat(factor)
-        if not factor:
-            return Scalar(self.table, {})
-        return Scalar(self.table, {k: v * factor for k, v in self.coeffs.items()})
+    def __neg__(self):
+        return self._make(self.table, {k: -v for k, v in self.num.items()}, self.den)
+
+    def scale(self, factor):
+        p, q = _ratio(factor)
+        if not p:
+            return self.table._zeros[type(self)]
+        if q == 1:
+            if p == 1:
+                return self
+            if p == -1:
+                return -self
+        # with p/q and num/den both reduced, these two gcds reduce the product
+        g = gcd(p, self.den)
+        h = gcd(q, *self.num.values()) if q != 1 else 1
+        m = p // g
+        num = {k: v // h * m for k, v in self.num.items()}
+        return self._make(self.table, num, self.den // g * (q // h))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.table is other.table and self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((id(self.table), self.key()))
+
+
+class Scalar(_Combination):
+    """Immutable rational combination of table symbols."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             _check_same_table(self, other)
-            coeffs: dict = {}
-            for i, ci in self.coeffs.items():
-                for j, cj in other.coeffs.items():
+            num: dict = {}
+            for i, ci in self.num.items():
+                for j, cj in other.num.items():
                     key = (i, j) if i <= j else (j, i)
                     cc = ci * cj
-                    nv = coeffs[key] + cc if key in coeffs else cc
-                    if nv:
-                        coeffs[key] = nv
-                    else:
-                        coeffs.pop(key, None)
-            return Area(self.table, coeffs)
+                    num[key] = num[key] + cc if key in num else cc
+            num = {k: v for k, v in num.items() if v}
+            return Area._reduced(self.table, num, self.den * other.den)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, factor):
-        return self.scale(Rat(1) / as_rat(factor))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.table is other.table and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((id(self.table), self.key()))
+        p, q = _ratio(factor)
+        return self.scale(Rat(q, p))
 
     def __repr__(self) -> str:
         return f"Scalar({format_scalar(self)})"
 
 
-class Area:
+class Area(_Combination):
     """Rational combination of unordered symbol pairs (Scalar x Scalar)."""
 
-    __slots__ = ("table", "coeffs", "_key")
-
-    def __init__(self, table: SymbolTable, coeffs: dict):
-        self.table = table
-        self.coeffs = coeffs
-        self._key = None
-
-    def key(self) -> tuple:
-        if self._key is None:
-            self._key = tuple(sorted(self.coeffs.items()))
-        return self._key
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Area") -> "Area":
-        _check_same_table(self, other)
-        return Area(self.table, _add_maps(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Area") -> "Area":
-        _check_same_table(self, other)
-        return Area(self.table, _sub_maps(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "Area":
-        return Area(self.table, {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, factor) -> "Area":
-        factor = as_rat(factor)
-        if not factor:
-            return Area(self.table, {})
-        return Area(self.table, {k: v * factor for k, v in self.coeffs.items()})
+    __slots__ = ()
 
     def __mul__(self, factor):
         if isinstance(factor, (Scalar, Area)):
@@ -532,22 +587,13 @@ class Area:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Area):
-            return NotImplemented
-        return self.table is other.table and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((id(self.table), self.key()))
-
     def __repr__(self) -> str:
         return f"Area({format_area(self)})"
 
 
 def compare_area(a: Area, b: Area, bits: int | None = None) -> Comparison:
     """Certified comparison of Areas via products of symbol enclosures."""
-    _check_same_table(a, b)
-    diff = _sub_maps(a.coeffs, b.coeffs)
+    diff = (a - b).num
     if not diff:
         return Comparison.EQUAL
     return a.table._ladder(diff, bits, pairs=True)
@@ -561,23 +607,26 @@ def compare_area(a: Area, b: Area, bits: int | None = None) -> Comparison:
 def commensurable(a: Scalar, b: Scalar) -> Optional[object]:
     """Exact rational ratio rho with b == rho * a, or None.
 
-    Decided purely on coefficient vectors (Q-parallel test); valid under the
-    declared-independence trust assumption.  Raises when both are zero.
+    Decided purely on coefficient vectors (Q-parallel test: equal support
+    and equal cross-products); valid under the declared-independence trust
+    assumption.  Raises when both are zero.
     """
     _check_same_table(a, b)
-    if a.is_zero() and b.is_zero():
+    an, bn = a.num, b.num
+    if not an and not bn:
         raise ValueError("commensurable ratio of zero with zero is undefined")
-    if a.is_zero():
+    if not an:
         return None
-    if b.is_zero():
-        return Rat(0)
-    idx = next(iter(a.coeffs))
-    if idx not in b.coeffs:
+    if not bn:
+        return _ZERO
+    if an.keys() != bn.keys():
         return None
-    rho = b.coeffs[idx] / a.coeffs[idx]
-    if b.coeffs == {k: v * rho for k, v in a.coeffs.items()}:
-        return rho
-    return None
+    idx = next(iter(an))
+    x, y = an[idx], bn[idx]
+    for k, v in an.items():
+        if bn[k] * x != v * y:
+            return None
+    return Rat(y * a.den, x * b.den)
 
 
 def pi_ratio(a: Scalar) -> Optional[object]:
@@ -678,12 +727,12 @@ def format_compact(a: Scalar) -> str:
 
 def format_scalar(a: Scalar) -> str:
     """Canonical literal; symbols in table order, the rational part last."""
-    if not a.coeffs:
+    if not a.num:
         return "0"
-    order = sorted(a.coeffs, key=lambda i: (i == 0, i))
+    order = sorted(a.num, key=lambda i: (i == 0, i))
     parts = []
     for pos, idx in enumerate(order):
-        c = a.coeffs[idx]
+        c = Rat(a.num[idx], a.den)
         if pos == 0:
             parts.append(_term_text(a.table, idx, c))
         elif c > 0:
@@ -695,12 +744,12 @@ def format_scalar(a: Scalar) -> str:
 
 def format_area(a: Area) -> str:
     """Readable pair-basis form, e.g. ``16/9*PI*PI``; reports only."""
-    if not a.coeffs:
+    if not a.num:
         return "0"
-    order = sorted(a.coeffs, key=lambda p: (p == (0, 0), p[0] == 0, p))
+    order = sorted(a.num, key=lambda p: (p == (0, 0), p[0] == 0, p))
     parts = []
     for pos, pair in enumerate(order):
-        c = a.coeffs[pair]
+        c = Rat(a.num[pair], a.den)
         mag = c if pos == 0 else abs(c)
         i, j = pair
         names = [a.table.name_of(k) for k in (i, j) if k != 0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from ._rat import Rat
@@ -390,24 +390,28 @@ class _IntLine:
         is a rational multiple of base, decided on coefficients alone."""
         if base.table.sign(base) is not Comparison.GREATER:
             return None
-        key, lead = next(iter(base.coeffs.items()))
-        unit = base.scale(1 / lead)
-        terms = len(unit.coeffs)
+        key = next(iter(base.num))
+        unit = base.scale(Rat(base.den, base.num[key]))
+        un, ud = unit.num, unit.den  # un[key] == ud
         den = 1
         for v in values:
-            r = v.coeffs.get(key)  # v / unit, when v is on the line
-            if r is None:
-                if v.coeffs:
+            vn = v.num
+            n = vn.get(key)  # v / unit == n / v.den, when v is on the line
+            if n is None:
+                if vn:
                     return None
                 continue
-            if len(v.coeffs) != terms or (terms > 1 and v.coeffs != unit.scale(r).coeffs):
+            # on the line: the same support and proportional numerators
+            if vn.keys() != un.keys() or (
+                len(un) > 1 and any(vn[k] * ud != n * c for k, c in un.items())
+            ):
                 return None
-            den = lcm(den, r.denominator)
+            den = lcm(den, v.den // gcd(n, v.den))
         return cls(unit, key, den)
 
     def coord(self, value: Scalar) -> int:
-        r = value.coeffs.get(self.key)
-        return 0 if r is None else r.numerator * (self.den // r.denominator)
+        n = value.num.get(self.key)
+        return 0 if n is None else n * self.den // value.den
 
     def scalar(self, coord: int) -> Scalar:
         return self.unit.scale(Rat(coord, self.den))

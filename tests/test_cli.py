@@ -323,6 +323,16 @@ def test_cycle_cap_names_the_stage_that_hit_it(capsys, heawood_path, cap, stage)
     assert err == f"resource limit: enumeration exceeded cap of {cap} (stage {stage})\n"
 
 
+def test_audit_resource_limit_names_the_stage(capsys, tmp_path):
+    # h is a second handle on pi, so the PI and h strands tie undecidably
+    # in the audit's shortest paths
+    text = "symbol h pi\nvertex a\nvertex b\nedge s0 a b PI\nedge s1 a b h\nedge s2 a b PI\n"
+    code, out, err = run(capsys, "analyze", write(tmp_path, "tie.g", text))
+    assert code == 4
+    assert out == ""
+    assert err == "resource limit: shortest-path relaxation undecidable (stage audit)\n"
+
+
 def test_plot_export_rejected_without_tiling(capsys, heawood_path):
     code, _, err = run(capsys, "--export-plot", "/tmp/x.tsv", "check", heawood_path)
     assert code == 1

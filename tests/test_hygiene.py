@@ -155,3 +155,27 @@ def test_no_rational_built_as_a_get_default(path):
 def test_rational_get_default_rule_sees_one():
     tree = ast.parse("x = d.get(k, Rat(0)) + e.get(k, -Fraction(1, 2))\ny = d.get(k, ZERO)\n")
     assert _rational_get_defaults(tree) == [1, 1]
+
+
+# Scalars and Areas store integer numerators over one denominator; the
+# rational ``coeffs`` view is built on each read, for parsing, formatting
+# and tests, so the rest of the package reads ``num`` and ``den``.
+def _coeffs_reads(tree: ast.Module) -> list:
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "scalars.py"), ids=lambda p: p.name
+)
+def test_no_coeffs_view_outside_scalars(path):
+    lines = _coeffs_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}: reads the rational .coeffs view at lines {lines}"
+
+
+def test_coeffs_rule_sees_one():
+    tree = ast.parse("x = s.coeffs.get(0)\ny = s.num.get(0)\nfor k in a.coeffs:\n    pass\n")
+    assert _coeffs_reads(tree) == [1, 3]

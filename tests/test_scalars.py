@@ -1,5 +1,6 @@
 """Exact scalar arithmetic, certified comparisons, commensurability."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from commensura.scalars import (
     format_scalar,
     parse_scalar,
     pi_ratio,
+    sum_terms,
     _linear_interval,
     _product_interval,
 )
@@ -420,3 +422,162 @@ def test_one_term_sign_matches_the_interval_rungs(pairs, data, coeff, bits):
         lo, hi = interval(table, coeffs, rung)
     assert got is (Comparison.GREATER if lo > 0 else Comparison.LESS)
     assert got is (Comparison.GREATER if coeff > 0 else Comparison.LESS)
+
+
+# ---------------------------------------------------------------------------
+# integer representation against a rational reference
+# ---------------------------------------------------------------------------
+#
+# Every operation is replayed on plain dicts of Fractions kept here.  Each
+# decision is replayed through the ladder on the rational difference map,
+# and must agree with it in verdict and in every enclosure it takes.
+
+_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+)
+# symbols 0 unit, 1 PI, 2 tau (PI-kind), 3 d (decimal)
+_scalar_maps = st.dictionaries(st.integers(0, 3), _rationals, max_size=4)
+
+
+def _ref(m):
+    return {k: Fraction(v) for k, v in m.items() if v}
+
+
+def _ref_plus(x, y, sign=1):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_scale(x, c):
+    return {k: v * c for k, v in x.items() if v * c}
+
+
+def _ref_product(x, y):
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            key = (min(i, j), max(i, j))
+            out[key] = out.get(key, 0) + a * b
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_matches(value, ref):
+    """value is in canonical integer form and equals the reference."""
+    num, den = value.num, value.den
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert value.coeffs == ref
+    rebuilt = type(value)(value.table, ref)
+    assert (rebuilt.num, rebuilt.den) == (num, den)
+    assert rebuilt == value and hash(rebuilt) == hash(value) and rebuilt.key() == value.key()
+
+
+def _assert_same_decision(table, rungs, got_decision, ref_diff, pairs):
+    """The decision and its enclosures equal the ladder's on ref_diff."""
+    got_rungs = list(rungs)
+    rungs.clear()
+    want = table._ladder(ref_diff, None, pairs=pairs) if ref_diff else Comparison.EQUAL
+    assert got_decision is want
+    assert got_rungs == rungs
+    rungs.clear()
+
+
+def _ref_ratio(x, y):
+    """rho with y == rho * x, None, or ValueError for two zeros."""
+    if not x and not y:
+        return ValueError
+    if not x:
+        return None
+    if not y:
+        return Fraction(0)
+    if x.keys() != y.keys():
+        return None
+    k = next(iter(x))
+    rho = y[k] / x[k]
+    return rho if all(y[i] == rho * v for i, v in x.items()) else None
+
+
+_OPS = ["add", "sub", "neg", "scale", "div", "mul", "sum", "area_add", "area_sub", "area_neg",
+        "area_scale", "area_sum"]
+
+
+@given(data=st.data(), maps=st.lists(_scalar_maps, min_size=2, max_size=3))
+@settings(max_examples=250, deadline=None)
+def test_integer_form_matches_rational_reference(data, maps):
+    table, rungs = _ladder_table(Fraction(5, 2), Fraction(1, 100))
+    scalars = [(Scalar(table, m), _ref(m)) for m in maps]
+    for s, ref in scalars:
+        _assert_matches(s, ref)
+    areas = [(Area(table, {}), {})]
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(_OPS))
+        (a, ra), (b, rb) = (data.draw(st.sampled_from(scalars)) for _ in range(2))
+        (p, rp), (q, rq) = (data.draw(st.sampled_from(areas)) for _ in range(2))
+        c = data.draw(_rationals)
+        if op == "add":
+            scalars.append((a + b, _ref_plus(ra, rb)))
+        elif op == "sub":
+            scalars.append((a - b, _ref_plus(ra, rb, -1)))
+        elif op == "neg":
+            scalars.append((-a, _ref_scale(ra, -1)))
+        elif op == "scale":
+            scalars.append((a.scale(c), _ref_scale(ra, c)))
+        elif op == "div":
+            if not c:
+                continue
+            scalars.append((a / c, _ref_scale(ra, 1 / c)))
+        elif op == "mul":
+            areas.append((a * b, _ref_product(ra, rb)))
+        elif op == "sum":
+            picked = data.draw(st.lists(st.sampled_from(scalars), max_size=4))
+            ref = ra
+            for _, r in picked:
+                ref = _ref_plus(ref, r)
+            scalars.append((sum_terms((s for s, _ in picked), a), ref))
+        elif op == "area_add":
+            areas.append((p + q, _ref_plus(rp, rq)))
+        elif op == "area_sub":
+            areas.append((p - q, _ref_plus(rp, rq, -1)))
+        elif op == "area_neg":
+            areas.append((-p, _ref_scale(rp, -1)))
+        elif op == "area_scale":
+            areas.append((c * p, _ref_scale(rp, c)))
+        else:
+            picked = data.draw(st.lists(st.sampled_from(areas), max_size=4))
+            ref = rp
+            for _, r in picked:
+                ref = _ref_plus(ref, r)
+            areas.append((sum_terms((x for x, _ in picked), p), ref))
+        new, ref = areas[-1] if op.startswith("area") or op == "mul" else scalars[-1]
+        _assert_matches(new, ref)
+
+    for (a, ra), (b, rb) in zip(scalars, scalars[1:] + scalars[:1]):
+        _assert_same_decision(table, rungs, table.compare(a, b), _ref_plus(ra, rb, -1), False)
+        _assert_same_decision(table, rungs, table.sign(a), ra, False)
+        want = _ref_ratio(ra, rb)
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                commensurable(a, b)
+        else:
+            assert commensurable(a, b) == want
+        assert pi_ratio(a) == _ref_ratio({1: Fraction(1)}, ra)
+        assert parse_scalar(table, format_scalar(a)) == a
+    for (p, rp), (q, rq) in zip(areas, areas[1:] + areas[:1]):
+        _assert_same_decision(table, rungs, compare_area(p, q), _ref_plus(rp, rq, -1), True)
+
+
+def test_shared_instances_and_no_op_arithmetic(table):
+    s = table.parse("2/3*PI - 1")
+    assert table.zero() is table.zero() and table.pi() is table.pi()
+    assert table.pi(1) is table.pi() and table.rational(0) is table.zero()
+    assert s.scale(1) is s and s.scale(Rat(1)) is s
+    assert s.scale(0) is table.zero() and s * 0 is table.zero()
+    assert s + table.zero() is s and s - table.zero() is s and table.zero() + s is s
+    area = s * s
+    assert area.scale(1) is area and area + area.scale(0) is area
+    assert (s - s) is table.zero()
