@@ -163,6 +163,15 @@ def _edge_spec(graph: MetricGraph, spec: str) -> list[str]:
     return ids
 
 
+def _scalar_arg(table, flag: str, literal: str):
+    try:
+        return parse_scalar(table, literal)
+    except (ValueError, KeyError) as exc:
+        raise UsageError(
+            f"{flag} must be a scalar literal, got {literal!r} ({exc.args[0]})"
+        ) from None
+
+
 def _find_cycle(graph: MetricGraph, spec: str, cap: int):
     ids = _edge_spec(graph, spec)
     sub = Subgraph(graph, tuple(ids))
@@ -352,7 +361,7 @@ def _cmd_tile(args) -> int:
             raise UsageError("the two cycles are not disjoint")
         union = Subgraph(graph, tuple(sorted(c1.edge_ids | c2.edge_ids)))
         product = product_tiling(graph, c1, c2, chords_of_subgraph(graph, union))
-        report = verify_tiling(product)
+        report = verify_tiling(product, args.cycle_cap)
         chain = [("product", product, report)]
         if report.ok:
             chain.append(("axis", *torus_form(report)))
@@ -377,8 +386,8 @@ def _cmd_dehn(args) -> int:
     if plus:
         if args.q_lit is None or args.r_lit is None or args.total is None:
             raise UsageError("the two-parameter audit needs --q, --r and --total")
-        q = parse_scalar(table, args.q_lit)
-        r = parse_scalar(table, args.r_lit)
+        q = _scalar_arg(table, "--q", args.q_lit)
+        r = _scalar_arg(table, "--r", args.r_lit)
         try:
             a = Rat(args.total)
         except (ValueError, ZeroDivisionError):

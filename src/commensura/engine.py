@@ -82,6 +82,39 @@ def _point_report(graph: MetricGraph, p: PointOnGraph) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# certificates shared between equal tilings
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Certificate:
+    """What an annulus tiling certifies on its own, shared by every loop of
+    the graph whose tiling equals it."""
+
+    report: TilingReport  # verify_tiling's verdict, kept without its grid
+    measure: Optional[MeasureTiling]  # its measure form, built for bars only
+    dehn_plus: dict  # (q, r, a, designated) -> dehn_plus_test verdict
+
+
+def _certificate(graph: MetricGraph, tiling: GeometricTiling, measured: bool) -> _Certificate:
+    """The certificate of tiling, computed on the first equal tiling the
+    graph meets.
+
+    A tiling compares by its region and by every piece's label, centre and
+    halves, all exact, so equal tilings have the same verdict and measure
+    form.  Whatever depends on vertex names stays with the caller.  An
+    error, resource limits included, propagates and is never stored.
+    """
+    cert = graph.certificates.get(tiling)
+    # a certificate made without the measure form is made again with it
+    if cert is None or (measured and cert.measure is None and cert.report.ok):
+        report = verify_tiling(tiling)
+        measure = to_measure_tiling(tiling, report) if measured and report.ok else None
+        cert = graph.certificates[tiling] = _Certificate(report.without_grid(), measure, {})
+    return cert
+
+
+# ---------------------------------------------------------------------------
 # hypothesis audit
 # ---------------------------------------------------------------------------
 
@@ -242,7 +275,7 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
             )
         chord_ratios.append(r)
     tiling = annulus_tiling(loop, chords)
-    report = verify_tiling(tiling)
+    report = _certificate(graph, tiling, measured=False).report
     if not report.ok:
         raise InternalInconsistency(
             f"annulus tiling of cycle {sorted(cycle.edge_ids)} failed: {report.status}"
@@ -282,7 +315,7 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
         chords=tuple(chords),
         chord_ratios=tuple(chord_ratios),
         tiling=tiling,
-        tiling_report=report.without_grid(),
+        tiling_report=report,
         area_checks=tuple(checks),
         budgets=budgets,
     )
@@ -319,8 +352,11 @@ class PairAnalysis:
         }
 
 
-def analyze_cycle_pair(graph: MetricGraph, cycle1: Cycle, cycle2: Cycle) -> PairAnalysis:
-    """Certify a disjoint cycle pair through the torus route."""
+def analyze_cycle_pair(
+    graph: MetricGraph, cycle1: Cycle, cycle2: Cycle, cap: int = DEFAULT_CYCLE_CAP
+) -> PairAnalysis:
+    """Certify a disjoint cycle pair through the torus route; cap bounds
+    the translates of its torus form."""
     if cycle1.vertices & cycle2.vertices:
         raise ValueError("cycles share vertices; only disjoint pairs have a product claim")
     sub = Subgraph(graph, tuple(sorted(cycle1.edge_ids | cycle2.edge_ids)))
@@ -336,7 +372,7 @@ def analyze_cycle_pair(graph: MetricGraph, cycle1: Cycle, cycle2: Cycle) -> Pair
             )
         ratios.append(r)
     product = product_tiling(graph, cycle1, cycle2, all_chords)
-    product_report = verify_tiling(product)
+    product_report = verify_tiling(product, cap)
     if not product_report.ok:
         raise InternalInconsistency(
             f"product tiling of the pair failed: {product_report.status}"
@@ -416,7 +452,8 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
     loop = bar_loop(graph, bar)
     chords = chords_of_loop(loop)
     tiling = annulus_tiling(loop, chords, bar)
-    report = verify_tiling(tiling)
+    cert = _certificate(graph, tiling, measured=True)
+    report = cert.report
     if not report.ok:
         raise InternalInconsistency(
             f"annulus tiling of the bar loop failed: {report.status}"
@@ -433,13 +470,15 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         on2 = ch.s.vertex in bar.cycle2.vertices and ch.t.vertex in bar.cycle1.vertices
         if on1 or on2:
             cross += 1
-    measure = to_measure_tiling(tiling, report)
-    try:
-        verdict = dehn_plus_test(
-            measure, q=bar.length, r=table.pi(), a=a, designated=tuple(designated)
-        )
-    except AuditFailure as exc:
-        raise InternalInconsistency(f"bar audit failed: {exc}") from exc
+    q, r, designated = bar.length, table.pi(), tuple(designated)
+    key = (q, r, a, designated)
+    verdict = cert.dehn_plus.get(key)
+    if verdict is None:
+        try:
+            verdict = dehn_plus_test(cert.measure, q=q, r=r, a=a, designated=designated)
+        except AuditFailure as exc:
+            raise InternalInconsistency(f"bar audit failed: {exc}") from exc
+        cert.dehn_plus[key] = verdict
     if isinstance(verdict, DehnPlusCertificate):
         raise InternalInconsistency(
             "bar measure tiling admits a two-parameter separating functional;"
@@ -457,11 +496,11 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         ratio=verdict.ratio,
         chords=tuple(chords),
         chord_ratios=tuple(ratios),
-        designated=tuple(designated),
+        designated=designated,
         designated_cross=cross,
         tiling=tiling,
-        tiling_report=report.without_grid(),
-        measure=measure,
+        tiling_report=report,
+        measure=cert.measure,
         verdict=verdict,
     )
 
@@ -690,7 +729,7 @@ def analyze(
                 subject = "; ".join(
                     ", ".join(sorted(c.edge_ids)) for c in (cycles[i], cycles[j])
                 )
-                pair_out.append(analyze_cycle_pair(graph, cycles[i], cycles[j]))
+                pair_out.append(analyze_cycle_pair(graph, cycles[i], cycles[j], cycle_cap))
 
         stage, subject = "bars", None
         bars = bars_of(sub, cycles, cap=cycle_cap)

@@ -22,10 +22,15 @@ def _check_size(edges: int) -> None:
         raise ValueError(f"graph would have {edges} edges; the limit is {MAX_EDGES}")
 
 
-def _as_scalar(table: SymbolTable, value) -> Scalar:
+def _as_scalar(table: SymbolTable, name: str, value) -> Scalar:
+    """The Scalar a parameter stands for; a bad literal is a ValueError
+    naming the parameter."""
     if isinstance(value, Scalar):
         return value
-    return parse_scalar(table, str(value))
+    try:
+        return parse_scalar(table, str(value))
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{name} must be a scalar literal, got {value!r} ({exc.args[0]})") from None
 
 
 def circle_graph(edges: int = 6, length: str | Scalar = "2*PI", precision_bits: int | None = None) -> MetricGraph:
@@ -35,7 +40,7 @@ def circle_graph(edges: int = 6, length: str | Scalar = "2*PI", precision_bits: 
     _check_size(edges)
     table = SymbolTable() if precision_bits is None else SymbolTable(precision_bits=precision_bits)
     g = MetricGraph(table)
-    total = _as_scalar(table, length)
+    total = _as_scalar(table, "length", length)
     step = total.scale(Rat(1, edges))
     for i in range(edges):
         g.add_vertex(f"v{i}")
@@ -52,7 +57,7 @@ def theta_graph(strands: int = 3, length: str | Scalar = "1", precision_bits: in
     _check_size(strands)
     table = SymbolTable() if precision_bits is None else SymbolTable(precision_bits=precision_bits)
     g = MetricGraph(table)
-    step = _as_scalar(table, length)
+    step = _as_scalar(table, "length", length)
     g.add_vertex("u")
     g.add_vertex("v")
     for i in range(strands):
@@ -69,8 +74,8 @@ def dumbbell_graph(
     """Two loop edges joined by a single bar edge."""
     table = SymbolTable() if precision_bits is None else SymbolTable(precision_bits=precision_bits)
     g = MetricGraph(table)
-    loop_len = _as_scalar(table, loop)
-    bar_len = _as_scalar(table, bar)
+    loop_len = _as_scalar(table, "loop", loop)
+    bar_len = _as_scalar(table, "bar", bar)
     g.add_vertex("a")
     g.add_vertex("b")
     g.add_edge("la", "a", "a", loop_len)
@@ -200,7 +205,7 @@ def incidence_plane_graph(
     triples = _projective_triples(field)
     table = SymbolTable() if precision_bits is None else SymbolTable(precision_bits=precision_bits)
     g = MetricGraph(table)
-    step = _as_scalar(table, edge_length)
+    step = _as_scalar(table, "edge_length", edge_length)
     for i in range(len(triples)):
         g.add_vertex(f"p{i}")
     for j in range(len(triples)):
@@ -233,7 +238,7 @@ def perturb_graph(base: MetricGraph, edge: str, delta: str | Scalar) -> MetricGr
         raise ValueError(f"unknown edge: {edge}")
     text = serialize_graph(base)
     out = parse_graph(text, precision_bits=base.table.precision_bits)
-    shift = _as_scalar(out.table, delta)
+    shift = _as_scalar(out.table, "delta", delta)
     rebuilt = MetricGraph(out.table)
     for v in out.vertices:
         rebuilt.add_vertex(v)

@@ -80,6 +80,8 @@ class MetricGraph:
         self.subgraph_decls: dict[str, tuple[str, ...]] = {}
         self._germs: dict[str, list[Germ]] = {}
         self._trees: dict[str, SourceTree] = {}  # memo of tree(); cleared on change
+        # the engine's certificates per distinct tiling; cleared with _trees
+        self.certificates: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -90,6 +92,7 @@ class MetricGraph:
         self.vertices.append(name)
         self._germs[name] = []
         self._trees.clear()
+        self.certificates.clear()
 
     def add_edge(self, eid: str, u: str, v: str, length: Scalar) -> Edge:
         if eid in self.edge_by_id:
@@ -108,6 +111,7 @@ class MetricGraph:
         self._germs[u].append((edge, 0))
         self._germs[v].append((edge, 1))
         self._trees.clear()
+        self.certificates.clear()
         return edge
 
     def declare_subgraph(self, name: str, edge_ids: Sequence[str]) -> None:

@@ -31,8 +31,8 @@ from typing import Optional
 
 from ._rat import Rat
 from .dehn import MeasureTiling
-from .errors import InternalInconsistency
-from .graph import BarTriple, Cycle, MetricGraph, germ_source
+from .errors import EnumerationCapExceeded, InternalInconsistency
+from .graph import DEFAULT_CYCLE_CAP, BarTriple, Cycle, MetricGraph, germ_source
 from .scalars import (
     Area,
     Comparison,
@@ -175,6 +175,14 @@ class GeometricTiling:
     region: object
     pieces: tuple
 
+    def __hash__(self) -> int:
+        # computed once: a memo lookup that misses stores under the same hash
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.region, self.pieces))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 # ---------------------------------------------------------------------------
 # constructions
@@ -259,13 +267,15 @@ def _lift_counts(region: ProductRegion):
     return int(ratio.numerator), int(ratio.denominator)
 
 
-def psi_transform(t: GeometricTiling) -> GeometricTiling:
+def psi_transform(t: GeometricTiling, cap: int = DEFAULT_CYCLE_CAP) -> GeometricTiling:
     """Rewrite a product tiling as axis-aligned boxes on a square torus.
 
     Both cycles are unrolled to a common circumference (n1 copies of one,
     n2 of the other), where the shear (x, y) -> ((x+y)/2, (x-y)/2)
     identifies each diamond box with two axis-aligned boxes of half its
-    half-widths; a diamond square becomes two squares.
+    half-widths; a diamond square becomes two squares.  The torus holds
+    2*n1*n2 translates per piece; more than cap in all raise
+    EnumerationCapExceeded before the first is built.
     """
     if not isinstance(t.region, ProductRegion):
         raise ValueError("only product tilings admit the axis transform")
@@ -276,6 +286,8 @@ def psi_transform(t: GeometricTiling) -> GeometricTiling:
             "cycle lengths are incommensurable; no common torus exists"
         )
     n1, n2 = counts
+    if 2 * n1 * n2 * len(t.pieces) > cap:
+        raise EnumerationCapExceeded(cap)
     l1, l2 = t.region.length1, t.region.length2
     big = l1.scale(n1)
     half_period = big.scale(Rat(1, 2))
@@ -611,7 +623,7 @@ def _scan(t: GeometricTiling):
     return "ok", None, (), grid
 
 
-def verify_tiling(t: GeometricTiling) -> TilingReport:
+def verify_tiling(t: GeometricTiling, cap: int = DEFAULT_CYCLE_CAP) -> TilingReport:
     """Exact coverage of the region with multiplicity one, plus the area
     identity.  First defect in grid scan order wins.
 
@@ -621,6 +633,7 @@ def verify_tiling(t: GeometricTiling) -> TilingReport:
     i // (2*n1*n2), and torus point (U, V) is product point
     (U + V mod l1, U - V mod l2).  An ok product report carries the torus
     grid; torus_form recovers the torus tiling and its verdict from it.
+    cap bounds the torus translates (psi_transform).
     """
     table = t.table
     region = t.region
@@ -637,7 +650,7 @@ def verify_tiling(t: GeometricTiling) -> TilingReport:
             )
         return TilingReport("area-mismatch", None, (), tiled, region_area)
     else:
-        status, witness, pieces, grid = _scan(psi_transform(t))
+        status, witness, pieces, grid = _scan(psi_transform(t, cap))
         n1, n2 = grid.tiling.region.lift_counts
         pieces = tuple(i // (2 * n1 * n2) for i in pieces)
         if witness is not None:

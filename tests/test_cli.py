@@ -279,6 +279,34 @@ def test_tile_pair_of_perturbed_hexagons(capsys, tmp_path, delta, lifts, verdict
         assert psi_transform(product).region.lift_counts == lifts
 
 
+def test_tile_pair_refuses_lifts_above_the_cycle_cap(capsys, tmp_path):
+    # lifts 24 x 23 and six chords make 2*24*23*6 = 6624 torus translates
+    pair = ("e0,e10,e11,e6,e7,e1", "e3,e15,e17,e14,e13,e5")
+    path = write(tmp_path, "p.graph", generate("perturb", base="heawood", edge="e0", delta="-1/12*PI"))
+    code, out, err = run(capsys, "tile", "--pair", *pair, path, "--cycle-cap", "6623")
+    assert code == 4
+    assert out == ""
+    assert err == "resource limit: enumeration exceeded cap of 6623\n"
+    code, _, _ = run(capsys, "tile", "--pair", *pair, path, "--cycle-cap", "6624")
+    assert code == 3  # the overlap of the default run
+
+
+def test_analyze_names_the_pair_whose_lifts_exceed_the_cap(capsys, tmp_path):
+    # two disjoint hexagons: 2 cycles, then one pair of 2*1*1*6 = 12 translates
+    text = generate("heawood") + f"subgraph hh {HEX1.replace(',', ' ')} {HEX2.replace(',', ' ')}\n"
+    path = write(tmp_path, "hh.graph", text)
+    code, out, err = run(capsys, "analyze", "--subgraph", "hh", path, "--cycle-cap", "11")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "resource limit: enumeration exceeded cap of 11"
+        f" (stage pairs, subject {HEX1.replace(',', ', ')}; {HEX2.replace(',', ', ')})\n"
+    )
+    code, out, _ = run(capsys, "analyze", "--subgraph", "hh", path, "--cycle-cap", "12")
+    assert code == 0
+    assert "pairs 1" in out
+
+
 @pytest.mark.parametrize("digits", ["-1", "18", "200000"])
 def test_plot_digits_out_of_range_is_usage_error(capsys, tmp_path, heawood_path, digits):
     plot = tmp_path / "plot.tsv"
@@ -439,6 +467,22 @@ def test_dehn_two_parameter_malformed_numbers_are_usage_errors(
 
 
 @pytest.mark.parametrize(
+    "flag, literal, reason",
+    [("--q", "zz", "unknown symbol: zz"), ("--r", "1+", "expected a term")],
+    ids=["unknown-symbol", "dangling-operator"],
+)
+def test_dehn_bad_scalar_literal_is_usage_error(capsys, tmp_path, flag, literal, reason):
+    path = write(tmp_path, "plus.mt", PLUS_CONFORMING)
+    given = {"--q": "1/2", "--r": "1", flag: literal}
+    code, out, err = run(
+        capsys, "dehn", path, "--q", given["--q"], "--r", given["--r"], "--total", "6"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} must be a scalar literal, got {literal!r} ({reason})\n"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "space X x0=1 x0=2\nspace Y y0=1\npiece A={x0} B={y0}\n",
@@ -501,6 +545,22 @@ def test_gen_bad_param_syntax(capsys):
     code, _, err = run(capsys, "gen", "circle", "edges")
     assert code == 1
     assert "key=value" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("perturb", "base=heawood", "edge=e0", "delta=x"),
+         "delta must be a scalar literal, got 'x' (unknown symbol: x)"),
+        (("circle", "length=zz"), "length must be a scalar literal, got 'zz' (unknown symbol: zz)"),
+    ],
+    ids=["perturb-delta", "circle-length"],
+)
+def test_gen_bad_scalar_literal_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_gen_oversized_graph_is_usage_error(capsys, monkeypatch):

@@ -7,7 +7,9 @@ import networkx as nx
 import pytest
 
 from commensura._rat import Rat
+import commensura.engine as engine_mod
 from commensura.engine import (
+    _certificate,
     analyze,
     analyze_bar,
     analyze_cycle,
@@ -17,6 +19,7 @@ from commensura.engine import (
 )
 from commensura import generators
 from commensura import chords as chords_mod
+from commensura.chords import bar_loop, chords_of_loop
 from commensura.errors import (
     EnumerationCapExceeded,
     InternalInconsistency,
@@ -42,7 +45,7 @@ from commensura.graph import (
     segments_of,
 )
 from commensura.scalars import Area, SymbolTable, format_scalar, sum_terms
-from commensura.tilings import _Grid, verify_tiling
+from commensura.tilings import DiamondPiece, GeometricTiling, _Grid, annulus_tiling, verify_tiling
 
 from test_chords import k44 as k44_graph
 
@@ -699,10 +702,13 @@ def _grids_reachable(root) -> int:
     return found
 
 
-def test_analysis_keeps_no_tiling_grid(heawood_analysis):
+def test_analysis_keeps_no_tiling_grid(heawood, heawood_analysis):
     a = analyze(build("theta", strands=3, length="PI"))
     assert a.cycles and _grids_reachable(a) == 0
     assert _grids_reachable(heawood_analysis) == 0  # pairs and bars too
+    # the certificates shared between equal tilings keep none either
+    assert a.graph.certificates and _grids_reachable(a.graph.certificates) == 0
+    assert heawood.certificates and _grids_reachable(heawood.certificates) == 0
     # the walk does find the grid an ok report carries
     assert _grids_reachable(verify_tiling(a.cycles[0].tiling)) == 1
 
@@ -711,3 +717,182 @@ def test_reports_are_byte_identical_across_runs():
     first = json.dumps(analyze(build("theta", strands=3, length="PI")).as_report(), sort_keys=True)
     second = json.dumps(analyze(build("theta", strands=3, length="PI")).as_report(), sort_keys=True)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# certificates shared between equal tilings
+# ---------------------------------------------------------------------------
+
+# a theta whose first strand is split off its middle by a decimal symbol:
+# every cycle is on the PI lattice, while the split point is not
+MIXED_THETA = """\
+symbol h 2.5 err 1/100
+vertex u
+vertex v
+vertex m
+edge a0 u m 1/2*PI + 1/10*h
+edge a1 m v 1/2*PI - 1/10*h
+edge s1 u v PI
+edge s2 u v PI
+"""
+
+
+def _mixed_k44() -> str:
+    """K4,4 at PI/2 with the edge u1-x1 split by a vertex a at PI/4 +
+    h/10.  Declared first, a starts every loop through it, so those loops
+    put their chords at mixed-basis positions."""
+    lines = ["symbol h 2.5 err 1/100", "vertex a"]
+    lines += [f"vertex {p}{i}" for p in "ux" for i in range(1, 5)]
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if (i, j) == (1, 1):
+                lines += ["edge e0 u1 a 1/4*PI + 1/10*h", "edge f0 a x1 1/4*PI - 1/10*h"]
+            else:
+                lines.append(f"edge e{4 * i + j - 5} u{i} x{j} 1/2*PI")
+    return "\n".join(lines) + "\n"
+
+
+def _object_reports(text, fresh_each):
+    """Every cycle and bar of a freshly parsed graph, analysed one at a
+    time; with fresh_each, the graph's certificates are dropped before
+    each object, so every one is certified from scratch."""
+    g = parse_graph(text)
+    cycles = cycles_of(g.whole())
+    out = []
+    for analyze_one, objects in ((analyze_cycle, cycles), (analyze_bar, bars_of(g.whole(), cycles))):
+        for obj in objects:
+            if fresh_each:
+                g.certificates.clear()
+            out.append(analyze_one(g, obj).as_report())
+    return out, g
+
+
+def test_heawood_shared_certificates_match_single_object_analysis(heawood_analysis):
+    a = heawood_analysis
+    shared = [c.as_report() for c in a.cycles] + [b.as_report() for b in a.bars]
+    alone, _ = _object_reports(generate("heawood"), fresh_each=True)
+    assert shared == alone
+
+
+@pytest.mark.parametrize("text", [MIXED_THETA, _mixed_k44()], ids=["theta", "k44"])
+def test_mixed_basis_shared_certificates_match_single_object_analysis(text):
+    shared, g = _object_reports(text, fresh_each=False)
+    alone, _ = _object_reports(text, fresh_each=True)
+    assert shared == alone
+    assert len(g.certificates) < len(shared)  # some certificates were shared
+    if text == MIXED_THETA:
+        a = analyze(parse_graph(text))
+        assert a.conformant and [c.as_report() for c in a.cycles] == shared
+    else:
+        assert any(len(x.num) > 1 for t in g.certificates for p in t.pieces for x in p.center)
+
+
+def test_heawood_certifies_each_distinct_tiling_once():
+    """Work-count guard: one verification per distinct annulus tiling (and
+    one per pair, whose products are not shared) and one Dehn-plus test per
+    distinct input."""
+    verified = []
+    dehn_inputs = []
+    real_verify, real_dehn = engine_mod.verify_tiling, engine_mod.dehn_plus_test
+
+    def verify(t, *args):
+        verified.append(t)
+        return real_verify(t, *args)
+
+    def dehn_plus(measure, **kw):
+        dehn_inputs.append((id(measure), kw["q"], kw["r"], kw["a"], kw["designated"]))
+        return real_dehn(measure, **kw)
+
+    with mock.patch.object(engine_mod, "verify_tiling", verify), mock.patch.object(
+        engine_mod, "dehn_plus_test", dehn_plus
+    ):
+        a = analyze(build("heawood"))
+    assert a.conformant
+    annulus = {r.tiling for r in a.cycles + a.bars}
+    verified_annulus = [t for t in verified if t in annulus]
+    assert len(verified_annulus) == len(set(verified_annulus)) == len(annulus) == 21
+    assert len(verified) == len(annulus) + len(a.pairs) == 63
+    keys = {(b.tiling, b.bar.length, b.a, b.designated) for b in a.bars}
+    assert len(dehn_inputs) == len(set(dehn_inputs)) == len(keys) == 8
+
+
+def _variants(tiling):
+    """Copies of tiling that differ from it in one label, or in one
+    coefficient of one centre."""
+    table = tiling.table
+    first, rest = tiling.pieces[0], tiling.pieces[1:]
+    relabelled = DiamondPiece(first.label + "x", first.center, first.half_sum, first.half_diff)
+    cx, cy = first.center
+    moved = DiamondPiece(first.label, (cx + table.pi(Rat(1, 6)), cy), first.half_sum, first.half_diff)
+    return [GeometricTiling(table, tiling.region, (p,) + rest) for p in (relabelled, moved)]
+
+
+@pytest.fixture
+def heawood_bar():
+    """A fresh Heawood graph, with no certificates, its first bar, and the
+    same bar analysed on a copy."""
+    g, copy = build("heawood"), build("heawood")
+    first_bar = [bars_of(h.whole(), cycles_of(h.whole()))[0] for h in (g, copy)]
+    return g, first_bar[0], analyze_bar(copy, first_bar[1])
+
+
+def test_certificates_are_keyed_by_the_exact_tiling(heawood_bar):
+    g, bar, alone = heawood_bar
+    loop = bar_loop(g, bar)
+    tiling = annulus_tiling(loop, chords_of_loop(loop), bar)
+    cert = _certificate(g, tiling, measured=True)
+    assert cert.report == verify_tiling(tiling).without_grid()
+    assert cert.report.ok and alone.tiling_report.ok
+    relabelled, moved = _variants(tiling)
+    for variant in (relabelled, moved):
+        assert variant.region == tiling.region and variant != tiling
+    # a new label names a new measure piece; the verdict stays ok
+    other = _certificate(g, relabelled, measured=True)
+    assert other is not cert and other.report.ok
+    assert other.measure.labels[0] != cert.measure.labels[0]
+    assert other.measure.labels[1:] == cert.measure.labels[1:]
+    # a moved centre breaks the tiling, which the stored verdict must not hide
+    broken = _certificate(g, moved, measured=True)
+    assert broken.report == verify_tiling(moved).without_grid()
+    assert not broken.report.ok and broken.measure is None
+    assert len(g.certificates) == 3
+    # an equal tiling built apart finds the stored certificate
+    copy = GeometricTiling(g.table, tiling.region, tuple(tiling.pieces))
+    assert _certificate(g, copy, measured=True) is cert
+
+
+def test_bar_verdicts_are_keyed_by_every_dehn_input(heawood_bar):
+    g, bar, alone = heawood_bar
+    first = analyze_bar(g, bar)
+    assert first.as_report() == alone.as_report()
+    (cert,) = g.certificates.values()
+    key = (bar.length, g.table.pi(), first.a, first.designated)
+    assert list(cert.dehn_plus) == [key] and cert.dehn_plus[key] is first.verdict
+    assert analyze_bar(g, bar).verdict is first.verdict
+
+
+def test_resource_limits_are_not_stored():
+    g = build("theta", strands=3, length="PI")
+    cycle = cycles_of(g.whole())[0]
+    real = engine_mod.verify_tiling
+
+    def undecided(t, *args):
+        raise PrecisionExhausted("grid order undecidable")
+
+    with mock.patch.object(engine_mod, "verify_tiling", undecided):
+        with pytest.raises(PrecisionExhausted):
+            analyze_cycle(g, cycle)
+    assert g.certificates == {}
+    calls = []
+    with mock.patch.object(engine_mod, "verify_tiling", lambda t, *a: calls.append(t) or real(t, *a)):
+        assert analyze_cycle(g, cycle).tiling_report.ok
+        analyze_cycle(g, cycle)
+    assert len(calls) == 1 and len(g.certificates) == 1
+
+
+def test_graph_change_drops_certificates():
+    g = build("theta", strands=3, length="PI")
+    analyze(g)
+    assert g.certificates
+    g.add_vertex("w")
+    assert g.certificates == {}

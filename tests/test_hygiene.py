@@ -179,3 +179,45 @@ def test_no_coeffs_view_outside_scalars(path):
 def test_coeffs_rule_sees_one():
     tree = ast.parse("x = s.coeffs.get(0)\ny = s.num.get(0)\nfor k in a.coeffs:\n    pass\n")
     assert _coeffs_reads(tree) == [1, 3]
+
+
+# Memoised results live with the object they describe (a graph keeps its
+# trees and tiling certificates and drops them when it changes); a
+# functools cache would hold every argument and result for the life of
+# the process and share them between unrelated graphs.
+FUNCTOOLS_CACHES = {"lru_cache", "cache"}
+
+
+def _functools_caches(tree: ast.Module) -> list:
+    """Lines that import or name functools.lru_cache or functools.cache."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in FUNCTOOLS_CACHES for alias in node.names):
+                out.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in FUNCTOOLS_CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_functools_cache(path):
+    lines = _functools_caches(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}: functools cache at lines {lines}"
+
+
+def test_functools_cache_rule_sees_one():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cmp_to_key, lru_cache\n"
+        "@functools.cache\n"
+        "def f(x):\n"
+        "    return functools.reduce(max, x)\n"
+        "g = functools.lru_cache(maxsize=None)(f)\n"
+    )
+    assert _functools_caches(tree) == [2, 3, 6]

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from commensura._rat import Rat
 from commensura.chords import chords_of_loop, chords_of_subgraph, loop_from_cycle, bar_loop
 from commensura.dehn import CommensurableVerdict, dehn_test, verify_measure_tiling
-from commensura.errors import InternalInconsistency, PrecisionExhausted
-from commensura.graph import bars_of, cycles_of
+from commensura.errors import EnumerationCapExceeded, InternalInconsistency, PrecisionExhausted
+from commensura.graph import DEFAULT_CYCLE_CAP, bars_of, cycles_of
 from commensura.scalars import Scalar, SymbolTable, commensurable, format_area
 import commensura.tilings as tilings_mod
 from commensura.tilings import (
@@ -343,6 +343,33 @@ def test_psi_shears_rectangles_to_half_widths():
     for p in out.pieces:
         assert p.shape == "axis-rectangle"
         assert p.halves == (hs.scale(Fraction(1, 2)), hd.scale(Fraction(1, 2)))
+
+
+def test_psi_refuses_lifts_above_the_cap_before_building(monkeypatch):
+    table = SymbolTable()
+    z = table.pi(Fraction(1, 3))
+    piece = DiamondPiece("c", (table.zero(), table.zero()), z, z)
+
+    def product(l2):
+        return GeometricTiling(table, ProductRegion(table.pi(2), l2), (piece,))
+
+    def no_translate(*args):
+        raise AssertionError("a translate was built")
+
+    # lengths in ratio 1000/999 would need 2*999*1000 translates of the piece
+    huge = product(table.pi(Fraction(2000, 999)))
+    monkeypatch.setattr(tilings_mod, "AxisPiece", no_translate)
+    for run in (psi_transform, verify_tiling):
+        with pytest.raises(EnumerationCapExceeded) as info:
+            run(huge)
+        assert info.value.cap == DEFAULT_CYCLE_CAP
+    monkeypatch.undo()
+    # lifts 3 x 2 make 12 translates; the bound is inclusive
+    small = product(table.pi(3))
+    assert len(psi_transform(small, cap=12).pieces) == 12
+    for run in (psi_transform, verify_tiling):
+        with pytest.raises(EnumerationCapExceeded):
+            run(small, cap=11)
 
 
 def test_product_is_verified_on_its_torus_grid(monkeypatch):
