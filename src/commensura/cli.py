@@ -13,8 +13,8 @@ runs on the same input are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from ._rat import Rat
@@ -182,9 +182,74 @@ def _find_cycle(graph: MetricGraph, spec: str, cap: int):
     raise UsageError(f"edges {spec} do not form one embedded cycle")
 
 
+def _machine_text(payload: dict) -> str:
+    """The machine report: the text ``json.dumps(payload, sort_keys=True,
+    indent=2)`` writes, plus a final newline, built in one recursive pass
+    into one list.  Strings take json's default ASCII escapes; the payload
+    holds only str-keyed dicts, lists, tuples, str, int, bool and None, and
+    any other value or key is a TypeError."""
+    out: list[str] = []
+    put = out.append
+    # depth -> (newline and indent of its items, separator between them,
+    # newline and indent of the closing bracket), shared by every container
+    layouts: list[tuple[str, str, str]] = []
+
+    def layout(depth: int) -> tuple[str, str, str]:
+        while len(layouts) <= depth:
+            inner = "\n" + "  " * (len(layouts) + 1)
+            layouts.append((inner, "," + inner, inner[:-2]))
+        return layouts[depth]
+
+    def write(value, depth: int) -> None:
+        if isinstance(value, str):
+            put(encode_basestring_ascii(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            lead, sep, close = layout(depth)
+            put("{")
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"machine report keys must be str, got {type(key).__name__}")
+                put(lead)
+                put(encode_basestring_ascii(key))
+                put(": ")
+                write(value[key], depth + 1)
+                lead = sep
+            put(close)
+            put("}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            lead, sep, close = layout(depth)
+            put("[")
+            for item in value:
+                put(lead)
+                write(item, depth + 1)
+                lead = sep
+            put(close)
+            put("]")
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        else:
+            raise TypeError(f"cannot write {type(value).__name__} in a machine report")
+
+    write(payload, 0)
+    put("\n")
+    return "".join(out)
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.format == "machine":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_machine_text(payload))
     else:
         sys.stdout.write(human if human.endswith("\n") else human + "\n")
 

@@ -33,6 +33,15 @@ def _as_scalar(table: SymbolTable, name: str, value) -> Scalar:
         raise ValueError(f"{name} must be a scalar literal, got {value!r} ({exc.args[0]})") from None
 
 
+def _as_int(name: str, value) -> int:
+    """The integer a parameter stands for; a bad literal is a ValueError
+    naming the parameter."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def circle_graph(edges: int = 6, length: str | Scalar = "2*PI", precision_bits: int | None = None) -> MetricGraph:
     """Cycle of n vertices whose edge lengths split ``length`` evenly."""
     if edges < 1:
@@ -278,7 +287,7 @@ def build(name: str, precision_bits: int | None = None, **params) -> MetricGraph
         raise ValueError(f"unknown generator {name!r} (have: {known})")
     for key in ("edges", "strands", "q"):
         if key in params:
-            params[key] = int(params[key])
+            params[key] = _as_int(key, params[key])
     return builder(precision_bits=precision_bits, **params)
 
 

@@ -456,6 +456,19 @@ def _strict_cmp(table: SymbolTable, a: Scalar, b: Scalar) -> Comparison:
     return cmp
 
 
+def _pair_bounded(table: SymbolTable, route_sums: tuple, twice_best: Scalar) -> bool:
+    """Whether an edge pair cannot beat the running maximum ``best``.
+
+    Opposite corner routes of a pair add up to a constant (``route_sums``),
+    so no value of the pair exceeds half of either sum; a pair whose sum is
+    at most ``2*best`` can never strictly exceed ``best``.  An undecided
+    comparison keeps the pair, so the bound raises nothing the full
+    enumeration would not."""
+    return any(
+        table.compare(s, twice_best) in (Comparison.LESS, Comparison.EQUAL) for s in route_sums
+    )
+
+
 def _min_over_routes(routes: list[_Route], alpha: Scalar, beta: Scalar, table: SymbolTable) -> Scalar:
     best = routes[0].at(alpha, beta)
     for r in routes[1:]:
@@ -482,25 +495,25 @@ def point_diameter_check(graph: MetricGraph, sub: Subgraph, bound: Scalar) -> Di
     trees = {w: graph.tree(w) for e in edges for w in (e.u, e.v)}
 
     best: Optional[Scalar] = None
+    twice_best: Optional[Scalar] = None
     best_pair = None
 
     for i, e in enumerate(edges):
         for f in edges[i:]:
             a, b = e.length, f.length
             # corner routes: leave e through one end, enter f through one end
-            routes = []
-            for ia in (0, 1):
-                for ib in (0, 1):
-                    ea = e.u if ia == 0 else e.v
-                    eb = f.u if ib == 0 else f.v
-                    base = trees[ea].dist[eb]
-                    ca = 1 if ia == 0 else -1
-                    cb = 1 if ib == 0 else -1
-                    if ia == 1:
-                        base = base + a
-                    if ib == 1:
-                        base = base + b
-                    routes.append(_Route(base, ca, cb))
+            uu, uv = trees[e.u].dist[f.u], trees[e.u].dist[f.v]
+            vu, vv = trees[e.v].dist[f.u], trees[e.v].dist[f.v]
+            if best is not None:
+                ab = a + b
+                if _pair_bounded(table, (uu + vv + ab, uv + vu + ab), twice_best):
+                    continue
+            routes = [
+                _Route(uu, 1, 1),
+                _Route(uv + b, 1, -1),
+                _Route(vu + a, -1, 1),
+                _Route(vv + a + b, -1, -1),
+            ]
             boundary = [
                 _Line(zero, 1, 0),          # alpha = 0
                 _Line(zero - a, 1, 0),      # alpha = a  (a - alpha = 0 form: -a + alpha)
@@ -550,6 +563,7 @@ def point_diameter_check(graph: MetricGraph, sub: Subgraph, bound: Scalar) -> Di
                     val = _min_over_routes(dom_routes, alpha, beta, table)
                     if best is None or _strict_cmp(table, val, best) is Comparison.GREATER:
                         best = val
+                        twice_best = val.scale(2)
                         best_pair = (
                             PointOnGraph(e.id, alpha),
                             PointOnGraph(f.id, beta),

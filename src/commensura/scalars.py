@@ -25,8 +25,9 @@ maps each basis key to a nonzero Python int and ``den`` is a positive int,
 reduced so that gcd(den, *num.values()) == 1 (zero is ``({}, 1)``).  That
 form is canonical, so equality and hashing read it directly, and all
 arithmetic runs on ints with one normalisation per result.  Rationals
-(``Rat``) appear only at the boundary: parsing, formatting, the ``coeffs``
-view and the ratios the decisions return.
+(``Rat``) appear only at the boundary: parsing, the ``coeffs`` view (which
+no package module reads; it serves tests) and the ratios the decisions
+return.  The formatters write each term from its numerator and ``den``.
 
 Instances are immutable after construction; the only internal mutation is a
 monotone enclosure cache, which only ever shrinks intervals, so concurrent
@@ -711,13 +712,11 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     return sum_terms(terms, table.zero())
 
 
-def _term_text(table: SymbolTable, idx: int, coeff) -> str:
-    if idx == 0:
-        return rat_str(coeff)
-    name = table.name_of(idx)
-    if coeff == 1:
-        return name
-    return f"{rat_str(coeff)}*{name}"
+def _ratio_text(n: int, den: int) -> str:
+    """``n/den`` in lowest terms, as ``str`` writes a rational: ``p/q``, or
+    ``p`` when the denominator reduces to 1."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def format_compact(a: Scalar) -> str:
@@ -729,16 +728,20 @@ def format_scalar(a: Scalar) -> str:
     """Canonical literal; symbols in table order, the rational part last."""
     if not a.num:
         return "0"
-    order = sorted(a.num, key=lambda i: (i == 0, i))
+    num, den, table = a.num, a.den, a.table
     parts = []
-    for pos, idx in enumerate(order):
-        c = Rat(a.num[idx], a.den)
-        if pos == 0:
-            parts.append(_term_text(a.table, idx, c))
-        elif c > 0:
-            parts.append(f"+ {_term_text(a.table, idx, c)}")
+    for idx in sorted(num, key=lambda i: (i == 0, i)):
+        n = num[idx]
+        if parts:
+            lead = "+ " if n > 0 else "- "
+            n = abs(n)
         else:
-            parts.append(f"- {_term_text(a.table, idx, -c)}")
+            lead = ""
+        text = _ratio_text(n, den)
+        if idx:
+            name = table.name_of(idx)
+            text = name if text == "1" else f"{text}*{name}"
+        parts.append(lead + text)
     return " ".join(parts)
 
 
@@ -746,19 +749,15 @@ def format_area(a: Area) -> str:
     """Readable pair-basis form, e.g. ``16/9*PI*PI``; reports only."""
     if not a.num:
         return "0"
-    order = sorted(a.num, key=lambda p: (p == (0, 0), p[0] == 0, p))
+    num, den, table = a.num, a.den, a.table
     parts = []
-    for pos, pair in enumerate(order):
-        c = Rat(a.num[pair], a.den)
-        mag = c if pos == 0 else abs(c)
-        i, j = pair
-        names = [a.table.name_of(k) for k in (i, j) if k != 0]
-        if names:
-            body = "*".join([rat_str(mag)] + names)
+    for pair in sorted(num, key=lambda p: (p == (0, 0), p[0] == 0, p)):
+        n = num[pair]
+        if parts:
+            lead = "+ " if n > 0 else "- "
+            n = abs(n)
         else:
-            body = rat_str(mag)
-        if pos == 0:
-            parts.append(body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+            lead = ""
+        body = "*".join([_ratio_text(n, den)] + [table.name_of(k) for k in pair if k != 0])
+        parts.append(lead + body)
     return " ".join(parts)

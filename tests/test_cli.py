@@ -5,7 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commensura import cli
 from commensura.cli import main
 from commensura.generators import generate
 
@@ -48,6 +51,24 @@ space X x1=1
 space Y y1=PI
 piece A={x1} B={y1}
 """
+
+
+def _json_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def machine_reports_match_json(monkeypatch):
+    """Every machine report a test here prints must be the text json.dumps
+    writes with sorted keys and a two-space indent."""
+    encode = cli._machine_text
+
+    def checked(payload):
+        text = encode(payload)
+        assert text == _json_text(payload)
+        return text
+
+    monkeypatch.setattr(cli, "_machine_text", checked)
 
 
 def run(capsys, *argv):
@@ -563,6 +584,22 @@ def test_gen_bad_scalar_literal_is_usage_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("circle", "edges=x"), "edges must be an integer, got 'x'"),
+        (("incidence_pg", "q=x"), "q must be an integer, got 'x'"),
+        (("theta", "strands=2.5"), "strands must be an integer, got '2.5'"),
+    ],
+    ids=["circle-edges", "incidence-q", "theta-strands"],
+)
+def test_gen_bad_integer_literal_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_gen_oversized_graph_is_usage_error(capsys, monkeypatch):
     from commensura.graph import MetricGraph
 
@@ -637,3 +674,51 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "vertex v0" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the machine encoder
+# ---------------------------------------------------------------------------
+
+_json_strings = st.one_of(
+    st.text(max_size=8),
+    st.text(st.characters(max_codepoint=0x1F), max_size=4),
+    st.sampled_from(["", "\"", "\\", "/", "\u2028", "\U0001F600", "pi \u03c0"]),
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    _json_strings,
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_json_strings, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(_json_strings, _json_payloads, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_machine_text_matches_json(payload):
+    assert cli._machine_text(payload) == _json_text(payload)
+
+
+def test_machine_text_of_empty_and_mixed_containers():
+    payload = {"a": {}, "b": [], "c": [True, 1, False, 0, None], "d": [{}, [[]], {"x": ()}], "\u00e9": 10**40}
+    assert cli._machine_text(payload) == _json_text(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"x": 0.5}, {"x": [1, 2.0]}, {1: "a"}, {"x": {None: 1}}, {"x": {1, 2}}],
+    ids=["float", "nested-float", "int-key", "none-key", "set"],
+)
+def test_machine_text_refuses_what_json_would_change(payload):
+    with pytest.raises(TypeError):
+        cli._machine_text(payload)

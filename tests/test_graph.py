@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import commensura.graph as graph_mod
 from commensura._rat import Rat
 from commensura.errors import (
     DisconnectedGraph,
@@ -20,9 +21,11 @@ from commensura.errors import (
     HypothesisViolation,
     NonpositiveLength,
 )
+from commensura.generators import build as generate_graph
 from commensura.graph import (
     MetricGraph,
     PointOnGraph,
+    Subgraph,
     bars_of,
     cycles_of,
     dijkstra,
@@ -34,7 +37,7 @@ from commensura.graph import (
     serialize_graph,
     shortest_path,
 )
-from commensura.scalars import Comparison, Scalar, SymbolTable, format_scalar
+from commensura.scalars import Comparison, Scalar, SymbolTable, format_scalar, pi_ratio
 
 
 def build(edge_list, subgraphs=None):
@@ -360,6 +363,98 @@ def test_point_distance_same_edge_wrap():
     # across edges: forward 3/2 + 1 = 5/2 beats the wrap 1/2 + 2 + 1
     z = PointOnGraph.make(g, "e1", g.table.rational(1))
     assert point_distance(g, x, z) == g.table.rational(Fraction(5, 2))
+
+
+# The audit skips an edge pair whose opposite corner routes sum to at most
+# twice the running maximum.  The reference is the full enumeration, with
+# the bound patched to skip nothing; the maximising pair does not depend on
+# the audit bound, so the reference runs at bound 0, where the witness is
+# always reported, and the pruned check runs at PI (the audit) and at 0.
+
+MIXED_THETA = """\
+symbol h 2.5 err 1/100
+vertex u
+vertex v
+edge e0 u v 1/2*PI + h
+edge e1 u v PI
+edge e2 u v h + 1
+"""
+
+DIFFERENTIAL_GRAPHS = {
+    "heawood": lambda: generate_graph("heawood"),
+    "pg3": lambda: generate_graph("incidence_pg", q="3"),
+    **{
+        f"heawood-e{k}+1": (lambda k=k: generate_graph("perturb", base="heawood", edge=f"e{k}", delta="1"))
+        for k in range(21)
+    },
+    "heawood-e0-1/10": lambda: generate_graph("perturb", base="heawood", edge="e0", delta="-1/10"),
+    "unit-theta": lambda: generate_graph("theta"),
+    "dumbbell": lambda: generate_graph("dumbbell"),
+    "mixed-theta": lambda: parse_graph(MIXED_THETA),
+}
+
+
+def _diameter_facts(res):
+    witness = None if res.witness is None else tuple((p.edge_id, p.offset) for p in res.witness)
+    return res.ok, res.max_distance, witness
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+def test_diameter_prune_matches_full_enumeration(name, monkeypatch):
+    g = DIFFERENTIAL_GRAPHS[name]()
+    table = g.table
+    pruned_pi = point_diameter_check(g, g.whole(), table.pi())
+    pruned_zero = point_diameter_check(g, g.whole(), table.zero())
+    monkeypatch.setattr(graph_mod, "_pair_bounded", lambda *args: False)
+    full = point_diameter_check(g, g.whole(), table.zero())
+    _, max_distance, witness = _diameter_facts(full)
+    assert witness is not None
+    ok = table.compare(max_distance, table.pi()) is not Comparison.GREATER
+    assert _diameter_facts(pruned_pi) == (ok, max_distance, None if ok else witness)
+    assert _diameter_facts(pruned_zero) == _diameter_facts(full)
+
+
+def test_diameter_prune_bounds_the_corner_intersections(monkeypatch):
+    g = generate_graph("heawood")
+    calls = []
+    intersect = graph_mod._intersect
+
+    def counting(*args):
+        calls.append(None)
+        return intersect(*args)
+
+    monkeypatch.setattr(graph_mod, "_intersect", counting)
+    assert point_diameter_check(g, g.whole(), g.table.pi()).ok
+    # 13,272 with every one of the 231 edge pairs enumerated
+    assert len(calls) <= 400
+
+
+def test_diameter_prune_keeps_a_pair_on_an_undecided_bound():
+    table = SymbolTable()
+    table.declare_decimal_symbol("h", Rat(5, 2), Rat(1))
+    h = table.symbol("h")
+    assert table.compare(h, table.rational(Rat(5, 2))) is Comparison.INDETERMINATE
+    assert not graph_mod._pair_bounded(table, (h,), table.rational(Rat(5, 2)))
+    assert graph_mod._pair_bounded(table, (h, table.rational(2)), table.rational(Rat(5, 2)))
+
+
+def test_off_lattice_cycles_break_the_point_diameter():
+    """The paper's lemma: in a graph of girth 2*PI, an embedded cycle whose
+    length is not a rational multiple of PI has two points more than PI
+    apart."""
+    g = generate_graph("perturb", base="heawood", edge="e0", delta="1")
+    table = g.table
+    pi = table.pi()
+    assert girth(g).value == table.pi(2)
+    off_lattice = [c for c in cycles_of(g.whole()) if pi_ratio(c.length) is None]
+    assert len(off_lattice) == 104
+    for c in off_lattice:
+        res = point_diameter_check(g, Subgraph(g, tuple(sorted(c.edge_ids))), pi)
+        assert not res.ok
+        assert table.compare(res.max_distance, pi) is Comparison.GREATER
+        x, y = res.witness
+        assert {x.edge_id, y.edge_id} <= c.edge_ids
+        assert point_distance(g, x, y) == res.max_distance
 
 
 # ---------------------------------------------------------------------------

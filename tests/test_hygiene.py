@@ -158,8 +158,8 @@ def test_rational_get_default_rule_sees_one():
 
 
 # Scalars and Areas store integer numerators over one denominator; the
-# rational ``coeffs`` view is built on each read, for parsing, formatting
-# and tests, so the rest of the package reads ``num`` and ``den``.
+# rational ``coeffs`` view is built on each read, for tests, so the rest of
+# the package reads ``num`` and ``den``.
 def _coeffs_reads(tree: ast.Module) -> list:
     return sorted(
         node.lineno
@@ -221,3 +221,38 @@ def test_functools_cache_rule_sees_one():
         "g = functools.lru_cache(maxsize=None)(f)\n"
     )
     assert _functools_caches(tree) == [2, 3, 6]
+
+
+# ``cli._machine_text`` is the one machine encoder: a json.dumps elsewhere in
+# the package would be a second writer whose bytes could drift from it.
+def _json_dumps_uses(tree: ast.Module) -> list:
+    """Lines that import json.dumps or name ``json.dumps``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name == "dumps" for alias in node.names):
+                out.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "dumps"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_json_dumps(path):
+    lines = _json_dumps_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}: json.dumps at lines {lines}"
+
+
+def test_json_dumps_rule_sees_one():
+    tree = ast.parse(
+        "import json\n"
+        "from json import dumps, loads\n"
+        "text = json.dumps(payload, indent=2)\n"
+        "doc = json.loads(text)\n"
+    )
+    assert _json_dumps_uses(tree) == [2, 3]

@@ -571,6 +571,77 @@ def test_integer_form_matches_rational_reference(data, maps):
         _assert_same_decision(table, rungs, compare_area(p, q), _ref_plus(rp, rq, -1), True)
 
 
+# The formatters read the integer numerators; these copies of the
+# rational-coefficient formatters they replaced are the reference.
+
+
+def _reference_term_text(table, idx, coeff):
+    if idx == 0:
+        return str(coeff)
+    name = table.name_of(idx)
+    return name if coeff == 1 else f"{coeff}*{name}"
+
+
+def _reference_format_scalar(table, coeffs):
+    if not coeffs:
+        return "0"
+    parts = []
+    for pos, idx in enumerate(sorted(coeffs, key=lambda i: (i == 0, i))):
+        c = coeffs[idx]
+        if pos == 0:
+            parts.append(_reference_term_text(table, idx, c))
+        elif c > 0:
+            parts.append(f"+ {_reference_term_text(table, idx, c)}")
+        else:
+            parts.append(f"- {_reference_term_text(table, idx, -c)}")
+    return " ".join(parts)
+
+
+def _reference_format_area(table, coeffs):
+    if not coeffs:
+        return "0"
+    parts = []
+    for pos, pair in enumerate(sorted(coeffs, key=lambda p: (p == (0, 0), p[0] == 0, p))):
+        c = coeffs[pair]
+        names = [table.name_of(k) for k in pair if k != 0]
+        body = "*".join([str(c if pos == 0 else abs(c))] + names)
+        parts.append(body if pos == 0 else ("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+_area_maps = st.dictionaries(st.sampled_from(_PAIRS), _rationals, max_size=5)
+
+
+@given(scalar_maps=st.lists(_scalar_maps, max_size=6), area_maps=st.lists(_area_maps, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_formatters_match_the_rational_reference(scalar_maps, area_maps):
+    table, _ = _ladder_table(Fraction(5, 2), Fraction(1, 100))
+    for m in scalar_maps:
+        ref = _ref(m)
+        assert format_scalar(Scalar(table, m)) == _reference_format_scalar(table, ref)
+    for m in area_maps:
+        ref = _ref(m)
+        assert format_area(Area(table, m)) == _reference_format_area(table, ref)
+
+
+def test_formatters_on_signs_and_unit_coefficients(table):
+    tau = table.declare_pi_symbol("tau")
+    cases = [
+        {}, {0: Fraction(-1)}, {1: Fraction(1)}, {1: Fraction(-1)}, {1: Fraction(-1), 0: Fraction(1)},
+        {tau: Fraction(1), 1: Fraction(-2, 4), 0: Fraction(-6, 3)}, {0: Fraction(7, 10**20)},
+    ]
+    for m in cases:
+        assert format_scalar(Scalar(table, m)) == _reference_format_scalar(table, _ref(m))
+    area_cases = [
+        {}, {(1, 1): Fraction(-1)}, {(0, 0): Fraction(1), (1, 1): Fraction(1)},
+        {(0, 1): Fraction(-1), (1, tau): Fraction(3, 2), (0, 0): Fraction(-1, 2)},
+    ]
+    for m in area_cases:
+        assert format_area(Area(table, m)) == _reference_format_area(table, _ref(m))
+    assert format_scalar(Scalar(table, cases[4])) == "-1*PI + 1"
+    assert format_area(Area(table, area_cases[1])) == "-1*PI*PI"
+
+
 def test_shared_instances_and_no_op_arithmetic(table):
     s = table.parse("2/3*PI - 1")
     assert table.zero() is table.zero() and table.pi() is table.pi()
