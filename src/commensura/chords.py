@@ -16,8 +16,9 @@ internal inconsistency rather than silently picking one path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from ._rat import Rat, rat_str
+from ._rat import Rat
 from .errors import InternalInconsistency
 from .graph import (
     BarTriple,
@@ -29,11 +30,6 @@ from .graph import (
     reverse_germ,
 )
 from .scalars import Area, Comparison, Scalar, format_scalar, pi_ratio, sum_terms
-
-
-def _ratio_text(distance: Scalar):
-    r = pi_ratio(distance)
-    return None if r is None else rat_str(r)
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,7 @@ class Chord:
     s: Visit
     t: Visit
     distance: Scalar  # geodesic length, in (0, pi)
+    ratio: Optional[Rat]  # distance / PI, None off the PI lattice
     z: Scalar  # pi minus the distance
     geodesic: tuple  # germ sequence from s.vertex to t.vertex
 
@@ -116,17 +113,17 @@ class Chord:
             "target": self.t.vertex,
             "target_position": format_scalar(self.t.position),
             "distance": format_scalar(self.distance),
-            "pi_ratio": _ratio_text(self.distance),
+            "pi_ratio": None if self.ratio is None else str(self.ratio),
             "side": format_scalar(self.z),
         }
 
 
 def _geodesic_between(graph: MetricGraph, x: str, y: str):
     """Distance test against pi plus the canonical geodesic: None when the
-    separation is not strictly below pi, else (distance, geodesic, pi -
-    distance).  The answer is kept on x's shortest-path tree, so each
-    vertex pair is tested once per graph; a tie below pi is never kept and
-    raises on every query."""
+    separation is not strictly below pi, else (distance, its PI ratio,
+    geodesic, pi - distance).  The answer is kept on x's shortest-path
+    tree, so each vertex pair is tested, and its ratio decided, once per
+    graph; a tie below pi is never kept and raises on every query."""
     tree = graph.tree(x)
     if y in tree.short:
         return tree.short[y]
@@ -142,7 +139,7 @@ def _geodesic_between(graph: MetricGraph, x: str, y: str):
             "the girth hypothesis cannot actually hold"
         )
     else:
-        hit = (d0, tuple(tree.path_to(y)), pi - d0)
+        hit = (d0, pi_ratio(d0), tuple(tree.path_to(y)), pi - d0)
     tree.short[y] = hit
     return hit
 
@@ -160,15 +157,15 @@ def chords_of_loop(loop: ImmersedLoop) -> list[Chord]:
             hit = _geodesic_between(graph, a.vertex, b.vertex)
             if hit is None:
                 continue
-            d0, path, z = hit
+            d0, ratio, path, z = hit
             if path[0] in a.germs:
                 continue
             if reverse_germ(path[-1]) in b.germs:
                 continue
             # the escape test is symmetric, so the mirror qualifies too
             back = tuple(reverse_germ(g) for g in reversed(path))
-            out.append(Chord(a, b, d0, z, path))
-            out.append(Chord(b, a, d0, z, back))
+            out.append(Chord(a, b, d0, ratio, z, path))
+            out.append(Chord(b, a, d0, ratio, z, back))
     out.sort(key=lambda ch: (ch.s.index, ch.t.index))
     return out
 
@@ -180,6 +177,7 @@ class SubgraphChord:
     x: str
     y: str
     distance: Scalar
+    ratio: Optional[Rat]
     z: Scalar
     geodesic: tuple
 
@@ -191,7 +189,7 @@ class SubgraphChord:
             "source": self.x,
             "target": self.y,
             "distance": format_scalar(self.distance),
-            "pi_ratio": _ratio_text(self.distance),
+            "pi_ratio": None if self.ratio is None else str(self.ratio),
             "side": format_scalar(self.z),
         }
 
@@ -208,14 +206,14 @@ def chords_of_subgraph(graph: MetricGraph, sub: Subgraph) -> list[SubgraphChord]
             hit = _geodesic_between(graph, x, y)
             if hit is None:
                 continue
-            d0, path, z = hit
+            d0, ratio, path, z = hit
             if path[0][0].id in sub.edge_set:
                 continue
             if path[-1][0].id in sub.edge_set:
                 continue
             back = tuple(reverse_germ(g) for g in reversed(path))
-            out.append(SubgraphChord(x, y, d0, z, path))
-            out.append(SubgraphChord(y, x, d0, z, back))
+            out.append(SubgraphChord(x, y, d0, ratio, z, path))
+            out.append(SubgraphChord(y, x, d0, ratio, z, back))
     order = {v: i for i, v in enumerate(verts)}
     out.sort(key=lambda ch: (order[ch.x], order[ch.y]))
     return out

@@ -19,11 +19,10 @@ squares", and re-running the verifier pinpoints which axiom actually broke.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._rat import Rat, as_rat, rat_str
+from ._rat import Rat, as_rat
 from .errors import AuditFailure, GraphFormatError, InternalInconsistency
 from .linalg import solve
 from .scalars import (
@@ -36,6 +35,7 @@ from .scalars import (
     format_compact,
     format_scalar,
     parse_scalar,
+    rational_line,
     sum_terms,
 )
 
@@ -112,7 +112,7 @@ class MeasureVerdict:
 
 
 def _functional_report(f: dict[int, Rat]) -> dict:
-    return {str(k): rat_str(v) for k, v in sorted(f.items())}
+    return {str(k): str(v) for k, v in sorted(f.items())}
 
 
 def verify_measure_tiling(t: MeasureTiling, skip_square: frozenset[int] = frozenset()) -> MeasureVerdict:
@@ -201,8 +201,8 @@ class CommensurableVerdict:
         return {
             "verdict": "commensurable",
             "base": format_scalar(self.base),
-            "x_ratios": [rat_str(r) for r in self.x_ratios],
-            "y_ratios": [rat_str(r) for r in self.y_ratios],
+            "x_ratios": [str(r) for r in self.x_ratios],
+            "y_ratios": [str(r) for r in self.y_ratios],
         }
 
 
@@ -219,29 +219,20 @@ class DehnCertificate:
         return {
             "verdict": "certificate",
             "functional": _functional_report(self.functional),
-            "lhs": rat_str(self.lhs),
-            "piece_products": [rat_str(x) for x in self.piece_products],
+            "lhs": str(self.lhs),
+            "piece_products": [str(x) for x in self.piece_products],
             "violated": self.violated.as_report(),
         }
-
-
-def _canonical_base(sample: Scalar) -> Scalar:
-    """The primitive integer vector on sample's direction whose term on the
-    lowest symbol index is positive."""
-    g = math.gcd(*sample.num.values())
-    if sample.num[min(sample.num)] < 0:
-        g = -g
-    return sample.scale(Rat(sample.den, g))
 
 
 def dehn_test(t: MeasureTiling):
     """CommensurableVerdict when all measures share one rational direction,
     else a DehnCertificate whose functional makes the square axioms absurd.
     """
-    elements = t.x_measures + t.y_measures
-    base = _canonical_base(elements[0])
-    ratios = [commensurable(base, m) for m in elements]
-    if all(r is not None for r in ratios):
+    line = rational_line(t.x_measures + t.y_measures)
+    if line is not None:
+        base, ratios = line
+        ratios = [Rat(p, q) for p, q in ratios]
         nx = len(t.x_measures)
         return CommensurableVerdict(base, ratios[:nx], ratios[nx:])
 
@@ -285,7 +276,7 @@ class QRCommensurable:
     ratio: Rat  # q as a multiple of r
 
     def as_report(self) -> dict:
-        return {"verdict": "qr-commensurable", "ratio": rat_str(self.ratio)}
+        return {"verdict": "qr-commensurable", "ratio": str(self.ratio)}
 
 
 @dataclass
@@ -302,11 +293,11 @@ class DehnPlusCertificate:
         return {
             "verdict": "certificate",
             "functional": _functional_report(self.functional),
-            "f_mu_x": rat_str(self.f_mu_x),
-            "f_mu_y": rat_str(self.f_mu_y),
-            "rect_products": [rat_str(x) for x in self.rect_products],
-            "designated_square_sum": rat_str(self.designated_square_sum),
-            "designated_bound": rat_str(self.designated_bound),
+            "f_mu_x": str(self.f_mu_x),
+            "f_mu_y": str(self.f_mu_y),
+            "rect_products": [str(x) for x in self.rect_products],
+            "designated_square_sum": str(self.designated_square_sum),
+            "designated_bound": str(self.designated_bound),
             "violated": self.violated.as_report(),
         }
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Rat, rat_str
+from ._rat import Rat
 from .chords import (
     ImmersedLoop,
     bar_loop,
@@ -106,8 +106,9 @@ def _certificate(graph: MetricGraph, tiling: GeometricTiling, measured: bool) ->
     error, resource limits included, propagates and is never stored.
     """
     cert = graph.certificates.get(tiling)
-    # a certificate made without the measure form is made again with it
-    if cert is None or (measured and cert.measure is None and cert.report.ok):
+    # measured is the same for every equal tiling: bar tilings (measured)
+    # lead with the two spliced rectangles, which cycle tilings never have
+    if cert is None:
         report = verify_tiling(tiling)
         measure = to_measure_tiling(tiling, report) if measured and report.ok else None
         cert = graph.certificates[tiling] = _Certificate(report.without_grid(), measure, {})
@@ -219,7 +220,6 @@ class CycleAnalysis:
     loop: ImmersedLoop
     ratio: Rat  # length / PI
     chords: tuple
-    chord_ratios: tuple  # geodesic length / PI, one per chord
     tiling: GeometricTiling
     tiling_report: TilingReport
     area_checks: tuple
@@ -229,7 +229,7 @@ class CycleAnalysis:
         return {
             "edges": [g[0].id for g in self.cycle.steps],
             "length": format_scalar(self.cycle.length),
-            "pi_ratio": rat_str(self.ratio),
+            "pi_ratio": str(self.ratio),
             "chords": [ch.as_report() for ch in self.chords],
             "tiling": self.tiling_report.status,
             "avoidance_bounds": [
@@ -265,15 +265,12 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
         )
     loop = loop_from_cycle(graph, cycle)
     chords = chords_of_loop(loop)
-    chord_ratios = []
     for ch in chords:
-        r = pi_ratio(ch.distance)
-        if r is None:
+        if ch.ratio is None:
             raise InternalInconsistency(
                 f"chord {ch.s.vertex}-{ch.t.vertex} has length {format_scalar(ch.distance)},"
                 " not a rational multiple of PI"
             )
-        chord_ratios.append(r)
     tiling = annulus_tiling(loop, chords)
     report = _certificate(graph, tiling, measured=False).report
     if not report.ok:
@@ -313,7 +310,6 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
         loop=loop,
         ratio=ratio,
         chords=tuple(chords),
-        chord_ratios=tuple(chord_ratios),
         tiling=tiling,
         tiling_report=report,
         area_checks=tuple(checks),
@@ -331,7 +327,6 @@ class PairAnalysis:
     cycle1: Cycle
     cycle2: Cycle
     chords: tuple  # cross chords, first endpoint on cycle1
-    chord_ratios: tuple
     product: GeometricTiling
     product_report: TilingReport
     axis: GeometricTiling
@@ -346,7 +341,7 @@ class PairAnalysis:
             "cycle2": [g[0].id for g in self.cycle2.steps],
             "chords": [ch.as_report() for ch in self.chords],
             "product_tiling": self.product_report.status,
-            "lift_counts": [int(n) for n in self.lift_counts],
+            "lift_counts": list(self.lift_counts),
             "axis_tiling": self.axis_report.status,
             "dehn": self.verdict.as_report(),
         }
@@ -362,15 +357,12 @@ def analyze_cycle_pair(
     sub = Subgraph(graph, tuple(sorted(cycle1.edge_ids | cycle2.edge_ids)))
     all_chords = chords_of_subgraph(graph, sub)
     cross = [ch for ch in all_chords if ch.x in cycle1.vertices and ch.y in cycle2.vertices]
-    ratios = []
     for ch in cross:
-        r = pi_ratio(ch.distance)
-        if r is None:
+        if ch.ratio is None:
             raise InternalInconsistency(
                 f"cross chord {ch.x}-{ch.y} has length {format_scalar(ch.distance)},"
                 " not a rational multiple of PI"
             )
-        ratios.append(r)
     product = product_tiling(graph, cycle1, cycle2, all_chords)
     product_report = verify_tiling(product, cap)
     if not product_report.ok:
@@ -389,7 +381,6 @@ def analyze_cycle_pair(
         cycle1=cycle1,
         cycle2=cycle2,
         chords=tuple(cross),
-        chord_ratios=tuple(ratios),
         product=product,
         product_report=product_report.without_grid(),
         axis=axis,
@@ -411,8 +402,7 @@ class BarAnalysis:
     loop: ImmersedLoop
     a: Rat  # (l1 + l2) / PI
     ratio: Rat  # bar length / PI
-    chords: tuple
-    chord_ratios: tuple  # entry None when the distance is off the PI lattice
+    chords: tuple  # a chord's ratio is None when it is off the PI lattice
     designated: tuple  # measure piece indices fed to the two-parameter audit
     designated_cross: int
     tiling: GeometricTiling
@@ -421,15 +411,15 @@ class BarAnalysis:
     verdict: QRCommensurable
 
     def as_report(self) -> dict:
-        commensurable = sum(1 for r in self.chord_ratios if r is not None)
+        commensurable = sum(1 for ch in self.chords if ch.ratio is not None)
         return {
             "bar_edges": [g[0].id for g in self.bar.steps],
             "endpoints": list(self.bar.endpoints),
             "bar_length": format_scalar(self.bar.length),
-            "pi_ratio": rat_str(self.ratio),
+            "pi_ratio": str(self.ratio),
             "cycle1": [g[0].id for g in self.bar.cycle1.steps],
             "cycle2": [g[0].id for g in self.bar.cycle2.steps],
-            "a": rat_str(self.a),
+            "a": str(self.a),
             "loop_length": format_scalar(self.loop.length),
             "chord_count": len(self.chords),
             "commensurable_chords": commensurable,
@@ -458,12 +448,11 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         raise InternalInconsistency(
             f"annulus tiling of the bar loop failed: {report.status}"
         )
-    ratios = [pi_ratio(ch.distance) for ch in chords]
     u, v = bar.endpoints
     designated = []
     cross = 0
-    for i, (ch, r) in enumerate(zip(chords, ratios)):
-        if r is None or ch.s.vertex in (u, v) or ch.t.vertex in (u, v):
+    for i, ch in enumerate(chords):
+        if ch.ratio is None or ch.s.vertex in (u, v) or ch.t.vertex in (u, v):
             continue
         designated.append(2 + i)  # the two rectangles come first in the tiling
         on1 = ch.s.vertex in bar.cycle1.vertices and ch.t.vertex in bar.cycle2.vertices
@@ -495,7 +484,6 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         a=a,
         ratio=verdict.ratio,
         chords=tuple(chords),
-        chord_ratios=tuple(ratios),
         designated=designated,
         designated_cross=cross,
         tiling=tiling,
@@ -521,7 +509,7 @@ class DecompositionTerm:
         return {
             "kind": self.kind,
             "edges": list(self.edges),
-            "coefficient": rat_str(self.coefficient),
+            "coefficient": str(self.coefficient),
         }
 
 
@@ -537,7 +525,7 @@ class SegmentAnalysis:
             "edges": [g[0].id for g in self.segment.steps],
             "endpoints": list(self.segment.endpoints),
             "length": format_scalar(self.segment.length),
-            "pi_ratio": None if self.ratio is None else rat_str(self.ratio),
+            "pi_ratio": None if self.ratio is None else str(self.ratio),
             "decomposition": [t.as_report() for t in self.terms],
             "verified": self.verified,
         }

@@ -26,8 +26,8 @@ _ZERO = Rat(0)
 
 def _integer_row(entries: list) -> list[int]:
     """The row times the lcm of its denominators, as primitive ints."""
-    den = lcm(*(int(x.denominator) for x in entries))
-    row = [int(x.numerator) * (den // int(x.denominator)) for x in entries]
+    den = lcm(*(x.denominator for x in entries))
+    row = [x.numerator * (den // x.denominator) for x in entries]
     return _primitive(row)
 
 

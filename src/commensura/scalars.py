@@ -25,9 +25,12 @@ maps each basis key to a nonzero Python int and ``den`` is a positive int,
 reduced so that gcd(den, *num.values()) == 1 (zero is ``({}, 1)``).  That
 form is canonical, so equality and hashing read it directly, and all
 arithmetic runs on ints with one normalisation per result.  Rationals
-(``Rat``) appear only at the boundary: parsing, the ``coeffs`` view (which
-no package module reads; it serves tests) and the ratios the decisions
+(``Rat``) appear only at the boundary: parsing and the ratios the decisions
 return.  The formatters write each term from its numerator and ``den``.
+
+This module also owns every rational-line decision: whether values are
+rational multiples of one another (``commensurable``, ``pi_ratio``) and
+the one line a list of values lies on (``rational_line``).
 
 Instances are immutable after construction; the only internal mutation is a
 monotone enclosure cache, which only ever shrinks intervals, so concurrent
@@ -38,12 +41,11 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from ._rat import Rat, as_rat, rat_str
+from ._rat import Rat, as_rat
 from .errors import MixedSymbolTables, PrecisionExhausted
 
 DEFAULT_PRECISION_BITS = 256
@@ -182,8 +184,8 @@ class SymbolTable:
     """Declaration context shared by every Scalar and Area built from it.
 
     Index 0 is the rational unit, index 1 is PI; user symbols follow in
-    declaration order.  The table carries the default precision budget used
-    by comparisons that do not override it.
+    declaration order.  The table carries the precision budget of every
+    comparison made on its values.
     """
 
     def __init__(self, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -235,7 +237,7 @@ class SymbolTable:
             if set(err.num) - {0}:
                 raise ValueError("error radius must be rational")
             return self.declare_decimal_symbol(
-                parts[1], Rat(Fraction(parts[2])), Rat(err.num.get(0, 0), err.den)
+                parts[1], Rat(parts[2]), Rat(err.num.get(0, 0), err.den)
             )
         raise ValueError("expected 'symbol NAME pi' or 'symbol NAME <decimal> err <rational>'")
 
@@ -247,7 +249,7 @@ class SymbolTable:
                 lines.append(f"symbol {sym.name} pi")
             else:
                 lines.append(
-                    f"symbol {sym.name} {_decimal_text(sym.value)} err {rat_str(sym.radius)}"
+                    f"symbol {sym.name} {_decimal_text(sym.value)} err {sym.radius}"
                 )
         return lines
 
@@ -305,7 +307,7 @@ class SymbolTable:
 
     # -- decisions ----------------------------------------------------------
 
-    def _ladder(self, coeffs: dict, bits: int | None, pairs: bool = False) -> Comparison:
+    def _ladder(self, coeffs: dict, pairs: bool = False) -> Comparison:
         """The one certified sign decision, for a nonzero coefficient map.
 
         Callers pass integer numerators: a positive multiple of the value
@@ -315,8 +317,8 @@ class SymbolTable:
         A single term on a known-positive symbol (the unit or a PI-kind
         symbol; for an Area, a pair of them) has the sign of its
         coefficient, exactly and without an enclosure.  Anything else is
-        enclosed at 64 bits, then at doubled budgets up to ``bits`` (the
-        table default when None), until the enclosure excludes zero.
+        enclosed at 64 bits, then at doubled budgets up to the table's
+        ``precision_bits``, until the enclosure excludes zero.
         Scalar keys are symbol indices, Area keys (``pairs``) index pairs.
         Only PI-kind symbols narrow with more bits, so a map without them is
         decided, or left INDETERMINATE, at the first rung.
@@ -330,7 +332,6 @@ class SymbolTable:
                 if c < 0:
                     return Comparison.LESS
         interval = _product_interval if pairs else _linear_interval
-        budget = self.precision_bits if bits is None else bits
         cur = _LADDER_START
         while True:
             lo, hi = interval(self, coeffs, cur)
@@ -340,30 +341,30 @@ class SymbolTable:
                 return Comparison.LESS
             symbols = self._symbols
             indices = chain.from_iterable(coeffs) if pairs else coeffs
-            if cur >= budget or all(symbols[i].kind != "pi" for i in indices):
+            if cur >= self.precision_bits or all(symbols[i].kind != "pi" for i in indices):
                 return Comparison.INDETERMINATE
-            cur = min(cur * 2, budget)
+            cur = min(cur * 2, self.precision_bits)
 
-    def compare(self, a: "Scalar", b: "Scalar", bits: int | None = None) -> Comparison:
+    def compare(self, a: "Scalar", b: "Scalar") -> Comparison:
         # the numerators of a - b: its value times a positive den
         diff = (a - b).num
         if not diff:
             return Comparison.EQUAL
-        return self._ladder(diff, bits)
+        return self._ladder(diff)
 
-    def sign(self, a: "Scalar", bits: int | None = None) -> Comparison:
+    def sign(self, a: "Scalar") -> Comparison:
         if not a.num:
             return Comparison.EQUAL
-        return self._ladder(a.num, bits)
+        return self._ladder(a.num)
 
     def require(self, cmp: Comparison, context: str = "") -> Comparison:
         if cmp is Comparison.INDETERMINATE:
             raise PrecisionExhausted(context or "comparison undecided within bit budget")
         return cmp
 
-    def approx(self, a: "Scalar", bits: int = 64):
-        """Rational midpoint of an enclosure; presentation only."""
-        lo, hi = _linear_interval(self, a.num, bits)
+    def approx(self, a: "Scalar"):
+        """Rational midpoint of the first rung's enclosure; presentation only."""
+        lo, hi = _linear_interval(self, a.num, _LADDER_START)
         return (lo + hi) / (2 * a.den)
 
 
@@ -411,7 +412,7 @@ def _ratio(value) -> tuple[int, int]:
     if type(value) is int:
         return value, 1
     value = as_rat(value)
-    return int(value.numerator), int(value.denominator)
+    return value.numerator, value.denominator
 
 
 def sum_terms(items: Iterable, start):
@@ -477,12 +478,6 @@ class _Combination:
                 den //= g
         return cls._make(table, num, den)
 
-    @property
-    def coeffs(self) -> dict:
-        """The rational view key -> Rat, built on each read."""
-        den = self.den
-        return {k: Rat(v, den) for k, v in self.num.items()}
-
     def key(self) -> tuple:
         """Hashable canonical form."""
         if self._key is None:
@@ -523,8 +518,14 @@ class _Combination:
     def __neg__(self):
         return self._make(self.table, {k: -v for k, v in self.num.items()}, self.den)
 
-    def scale(self, factor):
+    def scale(self, factor, den: int = 1):
+        """self times factor/den, for an exact rational and a nonzero int."""
         p, q = _ratio(factor)
+        if den != 1:
+            if den < 0:
+                p, den = -p, -den
+            g = gcd(p, den)
+            p, q = p // g, q * (den // g)
         if not p:
             return self.table._zeros[type(self)]
         if q == 1:
@@ -592,12 +593,12 @@ class Area(_Combination):
         return f"Area({format_area(self)})"
 
 
-def compare_area(a: Area, b: Area, bits: int | None = None) -> Comparison:
+def compare_area(a: Area, b: Area) -> Comparison:
     """Certified comparison of Areas via products of symbol enclosures."""
     diff = (a - b).num
     if not diff:
         return Comparison.EQUAL
-    return a.table._ladder(diff, bits, pairs=True)
+    return a.table._ladder(diff, pairs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +606,24 @@ def compare_area(a: Area, b: Area, bits: int | None = None) -> Comparison:
 # ---------------------------------------------------------------------------
 
 
-def commensurable(a: Scalar, b: Scalar) -> Optional[object]:
-    """Exact rational ratio rho with b == rho * a, or None.
 
-    Decided purely on coefficient vectors (Q-parallel test: equal support
-    and equal cross-products); valid under the declared-independence trust
-    assumption.  Raises when both are zero.
-    """
+
+def _parallel(an: dict, bn: dict) -> bool:
+    """Whether two nonzero numerator maps are Q-parallel (equal support and
+    equal cross-products against one term): the one test on coefficients
+    behind every decision below, valid under the independence assumption."""
+    if an.keys() != bn.keys():
+        return False
+    if len(an) == 1:
+        return True
+    idx = next(iter(an))
+    x, y = an[idx], bn[idx]
+    return all(bn[k] * x == v * y for k, v in an.items())
+
+
+def commensurable(a: Scalar, b: Scalar) -> Optional[object]:
+    """Exact rational ratio rho with b == rho * a, or None.  Raises when
+    both are zero."""
     _check_same_table(a, b)
     an, bn = a.num, b.num
     if not an and not bn:
@@ -620,14 +632,45 @@ def commensurable(a: Scalar, b: Scalar) -> Optional[object]:
         return None
     if not bn:
         return _ZERO
-    if an.keys() != bn.keys():
+    if not _parallel(an, bn):
         return None
     idx = next(iter(an))
-    x, y = an[idx], bn[idx]
-    for k, v in an.items():
-        if bn[k] * x != v * y:
-            return None
-    return Rat(y * a.den, x * b.den)
+    return Rat(bn[idx] * a.den, an[idx] * b.den)
+
+
+def rational_line(values: Iterable[Scalar]) -> Optional[tuple]:
+    """(base, ratios) when every value lies on one rational line, else None.
+
+    The line is that of the first nonzero value, and base is its canonical
+    form: the primitive integer vector on that direction whose term on the
+    lowest symbol index is positive.  ratios holds, per value, the reduced
+    pair (p, q) of ints with value == (p/q) * base; zero is (0, 1).  The
+    scan stops at the first value off the line.  None also when no value
+    is nonzero.
+    """
+    first = base = None
+    ratios = []
+    for v in values:
+        vn = v.num
+        if not vn:
+            ratios.append((0, 1))
+            continue
+        if first is None:
+            first = v
+            key = min(vn)
+            g = gcd(*vn.values())
+            if vn[key] < 0:
+                g = -g
+            base = {k: c // g for k, c in vn.items()}
+        else:
+            _check_same_table(first, v)
+            if not _parallel(base, vn):
+                return None
+        # vn is an integer multiple of the primitive base, coprime to v.den
+        ratios.append((vn[key] // base[key], v.den))
+    if first is None:
+        return None
+    return Scalar._make(first.table, base, 1), ratios
 
 
 def pi_ratio(a: Scalar) -> Optional[object]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from ._rat import Rat
@@ -42,6 +42,7 @@ from .scalars import (
     format_area,
     format_compact,
     format_scalar,
+    rational_line,
     sum_terms,
 )
 
@@ -264,7 +265,7 @@ def _lift_counts(region: ProductRegion):
     ratio = commensurable(region.length1, region.length2)
     if ratio is None:
         return None
-    return int(ratio.numerator), int(ratio.denominator)
+    return ratio.numerator, ratio.denominator
 
 
 def psi_transform(t: GeometricTiling, cap: int = DEFAULT_CYCLE_CAP) -> GeometricTiling:
@@ -381,8 +382,8 @@ class _ScalarLine:
 
 
 class _IntLine:
-    """Coordinates on the line Q*unit, unit > 0, as integer multiples of
-    unit/den.
+    """Coordinates on the line Q*unit, unit > 0 a primitive integer vector,
+    as integer multiples of unit/den.
 
     Since unit is positive, n -> (n/den)*unit preserves order, so the wrap,
     the extent test and the break order are decided on the integers, and
@@ -391,42 +392,33 @@ class _IntLine:
 
     zero = 0
 
-    def __init__(self, unit: Scalar, key: int, den: int):
+    def __init__(self, unit: Scalar, den: int):
         self.unit = unit
-        self.key = key  # a symbol on which unit has coefficient 1
+        self.key = next(iter(unit.num))  # a symbol in unit's support
+        self.step = unit.num[self.key]
         self.den = den
 
     @classmethod
     def of(cls, base: Scalar, values) -> Optional["_IntLine"]:
         """The line through base when base > 0 is certified and every value
-        is a rational multiple of base, decided on coefficients alone."""
+        is a rational multiple of base (scalars.rational_line)."""
         if base.table.sign(base) is not Comparison.GREATER:
             return None
-        key = next(iter(base.num))
-        unit = base.scale(Rat(base.den, base.num[key]))
-        un, ud = unit.num, unit.den  # un[key] == ud
-        den = 1
-        for v in values:
-            vn = v.num
-            n = vn.get(key)  # v / unit == n / v.den, when v is on the line
-            if n is None:
-                if vn:
-                    return None
-                continue
-            # on the line: the same support and proportional numerators
-            if vn.keys() != un.keys() or (
-                len(un) > 1 and any(vn[k] * ud != n * c for k, c in un.items())
-            ):
-                return None
-            den = lcm(den, v.den // gcd(n, v.den))
-        return cls(unit, key, den)
+        line = rational_line(chain((base,), values))
+        if line is None:
+            return None
+        unit, ratios = line
+        if ratios[0][0] < 0:  # base is a positive multiple of unit
+            unit = -unit
+        return cls(unit, lcm(*(q for _, q in ratios)))
 
     def coord(self, value: Scalar) -> int:
+        # value.num is an integer multiple of unit.num
         n = value.num.get(self.key)
-        return 0 if n is None else n * self.den // value.den
+        return 0 if n is None else n // self.step * (self.den // value.den)
 
     def scalar(self, coord: int) -> Scalar:
-        return self.unit.scale(Rat(coord, self.den))
+        return self.unit.scale(coord, self.den)
 
     def exceeds(self, extent: int, period: int) -> bool:
         return extent > period
@@ -802,7 +794,7 @@ def tiling_payload(t: GeometricTiling, report: TilingReport) -> dict:
     """The JSON report: the same content as serialize_tiling, with piece
     indices in the verdict."""
     r = t.region
-    fields = _region_fields(r, format_scalar, lambda c: [int(n) for n in c])
+    fields = _region_fields(r, format_scalar, list)
     return {
         "kind": "tiling",
         "region": {"kind": r.kind, **dict(fields)},

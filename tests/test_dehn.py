@@ -82,8 +82,8 @@ def squared_rect_tiling(table, drop=None, duplicate=None):
 def test_squared_rectangle_verifies():
     table = SymbolTable()
     t = squared_rect_tiling(table)
-    assert [int(m.coeffs[0]) for m in t.x_measures] == [14, 4, 6, 1, 8]
-    assert [int(m.coeffs[0]) for m in t.y_measures] == [15, 3, 4, 1, 9]
+    assert [(m.num, m.den) for m in t.x_measures] == [({0: n}, 1) for n in (14, 4, 6, 1, 8)]
+    assert [(m.num, m.den) for m in t.y_measures] == [({0: n}, 1) for n in (15, 3, 4, 1, 9)]
     assert verify_measure_tiling(t).ok
     assert t.mu_x() == table.rational(33)
     assert t.mu_y() == table.rational(32)

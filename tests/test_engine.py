@@ -19,7 +19,7 @@ from commensura.engine import (
 )
 from commensura import generators
 from commensura import chords as chords_mod
-from commensura.chords import bar_loop, chords_of_loop
+from commensura.chords import bar_loop, chords_of_loop, chords_of_subgraph, loop_from_cycle
 from commensura.errors import (
     EnumerationCapExceeded,
     InternalInconsistency,
@@ -44,7 +44,7 @@ from commensura.graph import (
     parse_graph,
     segments_of,
 )
-from commensura.scalars import Area, SymbolTable, format_scalar, sum_terms
+from commensura.scalars import Area, SymbolTable, format_scalar, pi_ratio, sum_terms
 from commensura.tilings import DiamondPiece, GeometricTiling, _Grid, annulus_tiling, verify_tiling
 
 from test_chords import k44 as k44_graph
@@ -280,7 +280,7 @@ def test_heawood_hamiltonian_cycle_chords(heawood, heawood_analysis):
     table = heawood.table
     ham = next(c for c in heawood_analysis.cycles if c.ratio == Rat(14, 3))
     assert len(ham.chords) == 14
-    assert set(ham.chord_ratios) == {Rat(1, 3)}
+    assert {ch.ratio for ch in ham.chords} == {Rat(1, 3)}
     assert all(ch.z == pi_times(table, 2, 3) for ch in ham.chords)
     # squares cover the annulus exactly
     assert ham.tiling_report.tiled_area == area(table, 112, 9)
@@ -301,7 +301,7 @@ def test_heawood_octagon_tiles_exactly(heawood, heawood_analysis):
     table = heawood.table
     oct8 = next(c for c in heawood_analysis.cycles if c.ratio == Rat(8, 3))
     assert len(oct8.chords) == 8
-    assert set(oct8.chord_ratios) == {Rat(2, 3)}
+    assert {ch.ratio for ch in oct8.chords} == {Rat(2, 3)}
     assert oct8.tiling_report.tiled_area == area(table, 16, 9)
     assert oct8.tiling_report.region_area == area(table, 16, 9)
 
@@ -321,7 +321,7 @@ def test_heawood_pairs_all_commensurable(heawood, heawood_analysis):
         assert p.product_report.ok and p.axis_report.ok
         assert tuple(int(n) for n in p.lift_counts) == (1, 1)
         assert len(p.chords) == 6
-        assert set(p.chord_ratios) <= {Rat(1, 3), Rat(2, 3)}
+        assert {ch.ratio for ch in p.chords} <= {Rat(1, 3), Rat(2, 3)}
         assert p.verdict.base == table.pi()
         assert sum(p.verdict.x_ratios, Rat(0)) == Rat(2)
         assert sum(p.verdict.y_ratios, Rat(0)) == Rat(2)
@@ -646,6 +646,20 @@ def test_heawood_analyze_tests_each_vertex_pair_once_and_each_square_once():
     assert sq.call_count == sum(len(c.chords) for c in a.cycles) > 0
 
 
+def test_heawood_analyze_decides_few_pi_ratios():
+    """Work-count guard: each chord carries the PI ratio decided once per
+    vertex pair, so one Heawood analyze and its report decide few ratios
+    (over 12,000 when every chord record and engine check decided its own)."""
+    counted = mock.Mock(wraps=pi_ratio)
+    with mock.patch.object(chords_mod, "pi_ratio", counted), mock.patch.object(
+        engine_mod, "pi_ratio", counted
+    ):
+        a = analyze(build("heawood"))
+        a.as_report()
+    assert a.conformant
+    assert 0 < counted.call_count <= 1100
+
+
 def test_resource_limits_name_stage_and_subject(monkeypatch):
     import commensura.engine as engine_mod
 
@@ -750,6 +764,44 @@ def _mixed_k44() -> str:
             else:
                 lines.append(f"edge e{4 * i + j - 5} u{i} x{j} 1/2*PI")
     return "\n".join(lines) + "\n"
+
+
+CHORD_RATIO_GRAPHS = {
+    "heawood": generate("heawood"),
+    "perturbed": generate("perturb", base="heawood", edge="e0", delta="1/6*PI"),
+    "theta-mixed": "vertex u\nvertex v\nedge s0 u v 1\nedge s1 u v PI - 1\nedge s2 u v PI - 1\n",
+    "k44-split": _mixed_k44(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHORD_RATIO_GRAPHS))
+def test_chord_ratio_is_the_direct_pi_ratio(name):
+    """Differential: the ratio each chord carries from the per-pair memo
+    equals pi_ratio of its distance, on every cycle loop, bar loop, cycle
+    subgraph, disjoint-pair subgraph and the whole graph."""
+    g = parse_graph(CHORD_RATIO_GRAPHS[name])
+    sub = g.whole()
+    cycles = cycles_of(sub)
+    loops = [loop_from_cycle(g, c) for c in cycles] + [bar_loop(g, b) for b in bars_of(sub, cycles)]
+    subs = [Subgraph(g, tuple(sorted(c.edge_ids))) for c in cycles] + [sub]
+    subs += [
+        Subgraph(g, tuple(sorted(c1.edge_ids | c2.edge_ids)))
+        for i, c1 in enumerate(cycles)
+        for c2 in cycles[i + 1:]
+        if not c1.vertices & c2.vertices
+    ]
+    queries = [lambda lp=lp: chords_of_loop(lp) for lp in loops]
+    queries += [lambda s=s: chords_of_subgraph(g, s) for s in subs]
+    seen = 0
+    for query in queries:
+        try:
+            chords = query()
+        except InternalInconsistency:
+            continue  # a tied geodesic below PI: no chord records to compare
+        for ch in chords:
+            assert ch.ratio == pi_ratio(ch.distance)
+            seen += 1
+    assert seen > 0
 
 
 def _object_reports(text, fresh_each):

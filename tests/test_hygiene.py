@@ -157,9 +157,9 @@ def test_rational_get_default_rule_sees_one():
     assert _rational_get_defaults(tree) == [1, 1]
 
 
-# Scalars and Areas store integer numerators over one denominator; the
-# rational ``coeffs`` view is built on each read, for tests, so the rest of
-# the package reads ``num`` and ``den``.
+# Scalars and Areas store integer numerators over one denominator and
+# have no rational ``coeffs`` view; a read of one would fail only when its
+# line runs, so it is caught here statically.
 def _coeffs_reads(tree: ast.Module) -> list:
     return sorted(
         node.lineno

@@ -15,6 +15,7 @@ from commensura.scalars import (
     Scalar,
     SymbolTable,
     commensurable,
+    rational_line,
     compare_area,
     format_area,
     format_scalar,
@@ -103,10 +104,11 @@ def test_equal_is_symbolic_only(table):
     assert a == b
 
 
-def test_decimal_symbol_with_insufficient_radius_is_indeterminate(table):
+def test_decimal_symbol_with_insufficient_radius_is_indeterminate():
     # interval [3.14158, 3.14160] straddles pi; no budget can split it
+    table = SymbolTable(precision_bits=4096)
     table.declare_decimal_symbol("approx_pi", Rat(314159, 100000), Rat(1, 100000))
-    got = table.compare(table.symbol("approx_pi"), table.pi(), bits=4096)
+    got = table.compare(table.symbol("approx_pi"), table.pi())
     assert got is Comparison.INDETERMINATE
 
 
@@ -115,18 +117,20 @@ def test_decimal_symbol_with_sufficient_radius_decides(table):
     assert table.compare(table.symbol("near3"), table.pi()) is Comparison.LESS
 
 
-def test_pi_alias_symbol_is_honestly_indeterminate(table):
+def test_pi_alias_symbol_is_honestly_indeterminate():
     # Declaring a second handle on the pi stream breaks the independence
     # assumption; comparing it with PI must refuse to decide, not guess.
+    table = SymbolTable(precision_bits=512)
     table.declare_pi_symbol("tau_half")
-    got = table.compare(table.symbol("tau_half"), table.pi(), bits=512)
+    got = table.compare(table.symbol("tau_half"), table.pi())
     assert got is Comparison.INDETERMINATE
 
 
-def test_require_raises_on_indeterminate(table):
+def test_require_raises_on_indeterminate():
+    table = SymbolTable(precision_bits=128)
     table.declare_pi_symbol("p2")
     with pytest.raises(PrecisionExhausted):
-        table.require(table.compare(table.symbol("p2"), table.pi(), bits=128))
+        table.require(table.compare(table.symbol("p2"), table.pi()))
 
 
 def test_mixed_tables_rejected(table):
@@ -165,6 +169,11 @@ def test_commensurable_zero_rules(table):
         commensurable(zero, zero)
 
 
+def rational_map(s) -> dict:
+    """key -> Fraction view of a Scalar's or Area's coefficients."""
+    return {k: Fraction(v, s.den) for k, v in s.num.items()}
+
+
 # ---------------------------------------------------------------------------
 # literals
 # ---------------------------------------------------------------------------
@@ -172,12 +181,12 @@ def test_commensurable_zero_rules(table):
 
 def test_parse_examples(table):
     s = parse_scalar(table, "1/3*PI + 2")
-    assert s.coeffs == {1: Rat(1, 3), 0: Rat(2)}
-    assert parse_scalar(table, "PI").coeffs == {1: Rat(1)}
+    assert rational_map(s) == {1: Rat(1, 3), 0: Rat(2)}
+    assert rational_map(parse_scalar(table, "PI")) == {1: Rat(1)}
     assert parse_scalar(table, "0").is_zero()
-    assert parse_scalar(table, "7/2").coeffs == {0: Rat(7, 2)}
-    assert parse_scalar(table, "2 - PI").coeffs == {0: Rat(2), 1: Rat(-1)}
-    assert parse_scalar(table, "-1*PI + 1").coeffs == {1: Rat(-1), 0: Rat(1)}
+    assert rational_map(parse_scalar(table, "7/2")) == {0: Rat(7, 2)}
+    assert rational_map(parse_scalar(table, "2 - PI")) == {0: Rat(2), 1: Rat(-1)}
+    assert rational_map(parse_scalar(table, "-1*PI + 1")) == {1: Rat(-1), 0: Rat(1)}
 
 
 def test_parse_rejects_garbage(table):
@@ -277,7 +286,7 @@ def test_area_identity_exact(table):
 def test_area_mixed_pairs(table):
     a = table.parse("PI + 1")
     sq = a * a
-    assert sq.coeffs == {(1, 1): Rat(1), (0, 1): Rat(2), (0, 0): Rat(1)}
+    assert rational_map(sq) == {(1, 1): Rat(1), (0, 1): Rat(2), (0, 0): Rat(1)}
     assert format_area(sq) == "1*PI*PI + 2*PI + 1"
 
 
@@ -310,8 +319,10 @@ _nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(boo
 _PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
-def _ladder_table(value, radius):
-    table = SymbolTable()
+def _ladder_table(value, radius, bits=None):
+    """A table over the four symbols, with precision budget bits (the
+    default when None), whose enclosure calls are recorded in rungs."""
+    table = SymbolTable() if bits is None else SymbolTable(precision_bits=bits)
     table.declare_pi_symbol("tau")
     table.declare_decimal_symbol("d", Rat(value), Rat(radius))
     rungs = []
@@ -363,14 +374,14 @@ def test_ladder_against_oracles(pairs, data, value, radius, bits):
     mpmath = pytest.importorskip("mpmath")
     keys = st.sampled_from(_PAIRS) if pairs else st.integers(0, 3)
     coeffs = {k: Rat(c) for k, c in data.draw(st.dictionaries(keys, _nonzero, max_size=4)).items()}
-    table, rungs = _ladder_table(value, radius)
+    table, rungs = _ladder_table(value, radius, bits)
     if pairs:
-        got = compare_area(Area(table, coeffs), Area(table, {}), bits=bits)
+        got = compare_area(Area(table, coeffs), Area(table, {}))
     else:
-        got = table.sign(Scalar(table, coeffs), bits=bits)
+        got = table.sign(Scalar(table, coeffs))
     rungs = list(rungs)
     if not pairs:
-        assert table.compare(Scalar(table, coeffs), table.zero(), bits=bits) is got
+        assert table.compare(Scalar(table, coeffs), table.zero()) is got
     # one term on the unit, PI or tau (for an Area, a pair of them) is
     # decided by its coefficient alone; everything else takes an enclosure
     one_term = len(coeffs) == 1 and set(next(iter(coeffs)) if pairs else coeffs) <= {0, 1, 2}
@@ -386,7 +397,7 @@ def test_ladder_against_oracles(pairs, data, value, radius, bits):
     else:
         assert got is Comparison.INDETERMINATE
         indices = {i for k in coeffs for i in (k if pairs else (k,))}
-        budget = bits or table.precision_bits
+        budget = table.precision_bits
         if indices <= {0, 1}:
             pytest.fail("a nonzero value in 1 and PI alone must be decided")
         elif indices.isdisjoint({1, 2}):
@@ -407,18 +418,18 @@ def test_one_term_sign_matches_the_interval_rungs(pairs, data, coeff, bits):
     # bits and doubled budgets, climbed here by hand until one excludes 0
     key = data.draw(st.sampled_from(_KNOWN_POSITIVE_PAIRS) if pairs else st.integers(0, 2))
     coeffs = {key: Rat(coeff)}
-    table, rungs = _ladder_table(Fraction(1), Fraction(1, 10))
+    table, rungs = _ladder_table(Fraction(1), Fraction(1, 10), bits)
     if pairs:
-        got = compare_area(Area(table, coeffs), Area(table, {}), bits=bits)
+        got = compare_area(Area(table, coeffs), Area(table, {}))
     else:
-        got = table.sign(Scalar(table, coeffs), bits=bits)
+        got = table.sign(Scalar(table, coeffs))
     assert rungs == []
     interval = _product_interval if pairs else _linear_interval
     rung = 64
     lo, hi = interval(table, coeffs, rung)
     while lo <= 0 <= hi:
         rung *= 2
-        assert rung <= (bits or table.precision_bits)
+        assert rung <= table.precision_bits
         lo, hi = interval(table, coeffs, rung)
     assert got is (Comparison.GREATER if lo > 0 else Comparison.LESS)
     assert got is (Comparison.GREATER if coeff > 0 else Comparison.LESS)
@@ -471,7 +482,7 @@ def _assert_matches(value, ref):
     assert type(den) is int and den >= 1
     assert all(type(v) is int and v for v in num.values())
     assert math.gcd(den, *num.values()) == 1
-    assert value.coeffs == ref
+    assert rational_map(value) == ref
     rebuilt = type(value)(value.table, ref)
     assert (rebuilt.num, rebuilt.den) == (num, den)
     assert rebuilt == value and hash(rebuilt) == hash(value) and rebuilt.key() == value.key()
@@ -481,7 +492,7 @@ def _assert_same_decision(table, rungs, got_decision, ref_diff, pairs):
     """The decision and its enclosures equal the ladder's on ref_diff."""
     got_rungs = list(rungs)
     rungs.clear()
-    want = table._ladder(ref_diff, None, pairs=pairs) if ref_diff else Comparison.EQUAL
+    want = table._ladder(ref_diff, pairs=pairs) if ref_diff else Comparison.EQUAL
     assert got_decision is want
     assert got_rungs == rungs
     rungs.clear()
@@ -502,8 +513,8 @@ def _ref_ratio(x, y):
     return rho if all(y[i] == rho * v for i, v in x.items()) else None
 
 
-_OPS = ["add", "sub", "neg", "scale", "div", "mul", "sum", "area_add", "area_sub", "area_neg",
-        "area_scale", "area_sum"]
+_OPS = ["add", "sub", "neg", "scale", "scale_ints", "div", "mul", "sum", "area_add", "area_sub",
+        "area_neg", "area_scale", "area_sum"]
 
 
 @given(data=st.data(), maps=st.lists(_scalar_maps, min_size=2, max_size=3))
@@ -527,6 +538,9 @@ def test_integer_form_matches_rational_reference(data, maps):
             scalars.append((-a, _ref_scale(ra, -1)))
         elif op == "scale":
             scalars.append((a.scale(c), _ref_scale(ra, c)))
+        elif op == "scale_ints":
+            p, d = c.numerator, data.draw(st.integers(-12, 12).filter(bool))
+            scalars.append((a.scale(p, d), _ref_scale(ra, Fraction(p, d))))
         elif op == "div":
             if not c:
                 continue
@@ -569,6 +583,64 @@ def test_integer_form_matches_rational_reference(data, maps):
         assert parse_scalar(table, format_scalar(a)) == a
     for (p, rp), (q, rq) in zip(areas, areas[1:] + areas[:1]):
         _assert_same_decision(table, rungs, compare_area(p, q), _ref_plus(rp, rq, -1), True)
+
+
+def _ref_line(refs):
+    """rational_line by its definition on reference maps: the first nonzero
+    map scaled to a primitive integer vector whose lowest-index term is
+    positive, and every map's ratio to it; None when there is no such map
+    or some map is off its line."""
+    first = next((r for r in refs if r), None)
+    if first is None:
+        return None
+    ints = {k: v * math.lcm(*(x.denominator for x in first.values())) for k, v in first.items()}
+    g = math.gcd(*(int(v) for v in ints.values()))
+    if ints[min(ints)] < 0:
+        g = -g
+    base = {k: v / g for k, v in ints.items()}
+    ratios = [_ref_ratio(base, r) for r in refs]
+    return None if None in ratios else (base, ratios)
+
+
+@given(
+    direction=_scalar_maps.filter(lambda m: any(m.values())),
+    mults=st.lists(_rationals, min_size=1, max_size=5),
+    off=st.one_of(st.none(), st.tuples(st.integers(0, 5), _scalar_maps)),
+)
+@settings(max_examples=250, deadline=None)
+def test_rational_line_against_reference(direction, mults, off):
+    table, _ = _ladder_table(Fraction(5, 2), Fraction(1, 100))
+    refs = [_ref_scale(_ref(direction), m) for m in mults]
+    if off is not None:
+        refs.insert(off[0], _ref(off[1]))
+    values = [Scalar(table, r) for r in refs]
+    seen = []
+
+    def fed():
+        for v in values:
+            seen.append(v)
+            yield v
+
+    got = rational_line(fed())
+    want = _ref_line(refs)
+    if want is None:
+        assert got is None
+        if any(refs):
+            # the scan stops at the first value off the first nonzero's line
+            first = next(r for r in refs if r)
+            stop = next(i for i, r in enumerate(refs) if r and _ref_ratio(first, r) is None)
+            assert len(seen) == stop + 1
+        return
+    base, ratios = got
+    assert rational_map(base) == want[0] and base.den == 1
+    assert [Fraction(p, q) for p, q in ratios] == want[1]
+    assert all(q > 0 and math.gcd(p, q) == 1 for p, q in ratios)
+    assert all(base.scale(p, q) == v for (p, q), v in zip(ratios, values))
+
+
+def test_rational_line_rejects_mixed_tables(table):
+    with pytest.raises(MixedSymbolTables):
+        rational_line([table.pi(), SymbolTable().pi()])
 
 
 # The formatters read the integer numerators; these copies of the
