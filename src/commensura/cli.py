@@ -415,7 +415,13 @@ def _cmd_tile(args) -> int:
     if args.loop is not None:
         cycle = _find_cycle(graph, args.loop, args.cycle_cap)
         loop = loop_from_cycle(graph, cycle)
-        tiling = annulus_tiling(loop, chords_of_loop(loop))
+        chords = chords_of_loop(loop)
+        try:
+            tiling = annulus_tiling(loop, chords)
+        except ValueError as exc:
+            raise UsageError(
+                f"loop {args.loop} of length {format_scalar(loop.length)}: {exc}"
+            ) from None
         report = verify_tiling(tiling)
         chain = [("annulus", tiling, report)]
         payload = tiling_payload(tiling, report)

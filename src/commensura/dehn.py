@@ -20,6 +20,7 @@ squares", and re-running the verifier pinpoints which axiom actually broke.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from ._rat import Rat, as_rat
@@ -160,13 +161,37 @@ def apply_functional(f: dict[int, Rat], s: Scalar) -> Rat:
     return total / s.den
 
 
+def _element_values(fnum: dict[int, int], measures: Sequence[Scalar]) -> tuple[list[int], int]:
+    """(values, den) with f(measures[i]) == values[i] / (den * fden), for
+    f given as int numerators ``fnum`` over a positive ``fden``."""
+    den = lcm(*(m.den for m in measures))
+    values = []
+    for m in measures:
+        total = 0
+        for idx, n in m.num.items():
+            c = fnum.get(idx)
+            if c:
+                total += n * c
+        values.append(total * (den // m.den))
+    return values, den
+
+
+def _piece_products(t: MeasureTiling, f: dict[int, Rat]) -> tuple[int, list[int], int]:
+    """f(muX)*f(muY) and every f(muA_i)*f(muB_i), as int numerators over one
+    positive denominator.  f is evaluated once per element; by linearity a
+    piece's value is the sum of its elements' values."""
+    fden = lcm(*(v.denominator for v in f.values()))
+    fnum = {idx: v.numerator * (fden // v.denominator) for idx, v in f.items()}
+    fx, dx = _element_values(fnum, t.x_measures)
+    fy, dy = _element_values(fnum, t.y_measures)
+    products = [sum(fx[j] for j in a) * sum(fy[k] for k in b) for a, b in t.pieces]
+    return sum(fx) * sum(fy), products, dx * dy * fden * fden
+
+
 def functional_identity(t: MeasureTiling, f: dict[int, Rat]) -> tuple[Rat, Rat]:
     """(f(muX)*f(muY), sum_i f(muA_i)*f(muB_i)); equal under exact coverage."""
-    left = apply_functional(f, t.mu_x()) * apply_functional(f, t.mu_y())
-    right = Rat(0)
-    for i in range(len(t.pieces)):
-        right += apply_functional(f, t.mu_a(i)) * apply_functional(f, t.mu_b(i))
-    return left, right
+    lhs, products, den = _piece_products(t, f)
+    return Rat(lhs, den), Rat(sum(products), den)
 
 
 def solve_functional(equations: list[tuple[Scalar, Rat]]) -> dict[int, Rat]:
@@ -251,19 +276,15 @@ def dehn_test(t: MeasureTiling):
                 "total; the data does not decide commensurability"
             )
         f = solve_functional([(mu_x, Rat(0)), (t.mu_a(target), Rat(1))])
-    lhs, rhs = functional_identity(t, f)
-    # under the axioms rhs is a sum of squares equal to lhs, yet lhs is
-    # negative or smaller than one of its terms; some axiom must fail
+    # under the axioms the piece products are squares summing to lhs, yet
+    # lhs is negative or smaller than one of them; some axiom must fail
     violated = verify_measure_tiling(t)
     if violated.ok:
         raise InternalInconsistency(
             "functional contradiction against a tiling that verifies clean"
         )
-    products = [
-        apply_functional(f, t.mu_a(i)) * apply_functional(f, t.mu_b(i))
-        for i in range(len(t.pieces))
-    ]
-    return DehnCertificate(f, lhs, products, violated)
+    lhs, products, den = _piece_products(t, f)
+    return DehnCertificate(f, Rat(lhs, den), [Rat(p, den) for p in products], violated)
 
 
 # ---------------------------------------------------------------------------

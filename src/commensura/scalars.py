@@ -8,9 +8,10 @@ the built-in pi stream).  The declared symbols together with 1 are
 every equality decision below and is deliberately not re-derived here.
 
 Equality is decided symbolically (equal coefficient maps).  Strict order is
-decided exactly when the difference is one term on the unit or a PI-kind
-symbol (the sign of its coefficient), and otherwise numerically but
-soundly: the difference is enclosed in a rational interval that is refined
+decided exactly when every term of the difference is on the unit or a
+PI-kind symbol and all its coefficients have one sign, which is then the
+sign of the difference; otherwise it is decided numerically but soundly:
+the difference is enclosed in a rational interval that is refined
 until the sign is certain or the bit budget runs out, in which case the
 comparison reports INDETERMINATE rather than guess.  Only PI-kind symbols
 refine; a difference without them is decided at the first rung.  No
@@ -24,9 +25,11 @@ Both types store integer numerators over one common denominator: ``num``
 maps each basis key to a nonzero Python int and ``den`` is a positive int,
 reduced so that gcd(den, *num.values()) == 1 (zero is ``({}, 1)``).  That
 form is canonical, so equality and hashing read it directly, and all
-arithmetic runs on ints with one normalisation per result.  Rationals
-(``Rat``) appear only at the boundary: parsing and the ratios the decisions
-return.  The formatters write each term from its numerator and ``den``.
+arithmetic runs on ints with one normalisation per result; so does
+parsing.  Rationals (``Rat``) appear only at the boundary: symbol
+declarations, conversion from a map of rationals, and the ratios the
+decisions return.  The formatters write each term from its numerator and
+``den``.
 
 This module also owns every rational-line decision: whether values are
 rational multiples of one another (``commensurable``, ``pi_ratio``) and
@@ -314,23 +317,32 @@ class SymbolTable:
         has its sign, and every enclosure below scales exactly with it, so
         each rung decides just as it would on the rational map.
 
-        A single term on a known-positive symbol (the unit or a PI-kind
-        symbol; for an Area, a pair of them) has the sign of its
-        coefficient, exactly and without an enclosure.  Anything else is
-        enclosed at 64 bits, then at doubled budgets up to the table's
-        ``precision_bits``, until the enclosure excludes zero.
+        A map whose every key is a known-positive symbol (the unit or a
+        PI-kind symbol; for an Area, a pair of them) and whose coefficients
+        all have one sign has that sign, exactly and without an enclosure:
+        it is a sum of positive values, each times a coefficient of that
+        sign.  Every rung would agree, as every PI enclosure lies above 3.
+        Anything else is enclosed at 64 bits, then at doubled budgets up to
+        the table's ``precision_bits``, until the enclosure excludes zero.
         Scalar keys are symbol indices, Area keys (``pairs``) index pairs.
         Only PI-kind symbols narrow with more bits, so a map without them is
         decided, or left INDETERMINATE, at the first rung.
         """
-        if len(coeffs) == 1:
-            ((key, c),) = coeffs.items()
-            symbols = self._symbols
-            if all(symbols[i].kind in _POSITIVE_KINDS for i in (key if pairs else (key,))):
-                if c > 0:
-                    return Comparison.GREATER
-                if c < 0:
-                    return Comparison.LESS
+        symbols = self._symbols
+        positive = None  # whether the coefficients so far are positive
+        for key, c in coeffs.items():
+            if pairs:
+                i, j = key
+                if symbols[i].kind not in _POSITIVE_KINDS or symbols[j].kind not in _POSITIVE_KINDS:
+                    break
+            elif symbols[key].kind not in _POSITIVE_KINDS:
+                break
+            if positive is None:
+                positive = c > 0
+            elif (c > 0) is not positive:
+                break
+        else:
+            return Comparison.GREATER if positive else Comparison.LESS
         interval = _product_interval if pairs else _linear_interval
         cur = _LADDER_START
         while True:
@@ -339,7 +351,6 @@ class SymbolTable:
                 return Comparison.GREATER
             if hi < 0:
                 return Comparison.LESS
-            symbols = self._symbols
             indices = chain.from_iterable(coeffs) if pairs else coeffs
             if cur >= self.precision_bits or all(symbols[i].kind != "pi" for i in indices):
                 return Comparison.INDETERMINATE
@@ -709,21 +720,25 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def _parse_rat(text: str):
+def _parse_rat(text: str) -> tuple[int, int]:
+    """(p, q) ints with the literal equal to p/q and q positive."""
     if "/" in text:
         num, den = text.split("/")
         d = int(den)
         if d == 0:
             raise ValueError("zero denominator in rational literal")
-        return Rat(int(num), d)
-    return Rat(int(text))
+        return int(num), d
+    return int(text), 1
 
 
 def parse_scalar(table: SymbolTable, text: str) -> Scalar:
+    """The Scalar a literal denotes.  Terms accumulate as int numerators
+    over the lcm of their denominators, reduced once at the end."""
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty scalar literal")
-    terms = []
+    num: dict = {}
+    den = 1
     i = 0
     sign = 1
     first = True
@@ -736,23 +751,33 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
             i += 1
         kind, val = tokens[i] if i < len(tokens) else (None, None)
         if kind == "rat":
-            coeff = _parse_rat(val) * sign
+            p, q = _parse_rat(val)
             i += 1
             if i < len(tokens) and tokens[i] == ("op", "*"):
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "sym":
                     raise ValueError("expected symbol after '*'")
-                terms.append(table.symbol(tokens[i][1], coeff))
+                idx = table.index_of(tokens[i][1])
                 i += 1
             else:
-                terms.append(table.rational(coeff))
+                idx = 0
         elif kind == "sym":
-            terms.append(table.symbol(val, sign))
+            p, q = 1, 1
+            idx = table.index_of(val)
             i += 1
         else:
             raise ValueError("expected a term")
+        if q != den:
+            common = lcm(den, q)
+            if common != den:
+                up = common // den
+                num = {k: v * up for k, v in num.items()}
+                den = common
+            p *= den // q
+        p *= sign
+        num[idx] = num[idx] + p if idx in num else p
         first = False
-    return sum_terms(terms, table.zero())
+    return Scalar._reduced(table, {k: v for k, v in num.items() if v}, den)
 
 
 def _ratio_text(n: int, den: int) -> str:

@@ -236,6 +236,19 @@ def test_tile_rejects_overlapping_pair(capsys, heawood_path):
     assert "not disjoint" in err
 
 
+def test_tile_loop_shorter_than_two_pi_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "theta.graph"
+    path.write_text("vertex u\nvertex v\nedge s0 u v 1\nedge s1 u v PI - 1\nedge s2 u v PI - 1\n")
+    for fmt in ("human", "machine"):
+        code, out, err = run(capsys, "--format", fmt, "tile", "--loop", "s1,s2", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: loop s1,s2 of length 2*PI - 2: "
+            "loop shorter than 2*pi has no annulus region\n"
+        )
+
+
 def test_tile_plot_export(capsys, tmp_path, heawood_path):
     plot = tmp_path / "plot.tsv"
     code, _, _ = run(

@@ -10,7 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commensura import dehn
 from commensura._rat import Rat
 from commensura.dehn import (
     CommensurableVerdict,
@@ -28,7 +31,7 @@ from commensura.dehn import (
     verify_measure_tiling,
 )
 from commensura.errors import AuditFailure, GraphFormatError, InternalInconsistency
-from commensura.scalars import Scalar, SymbolTable, format_scalar
+from commensura.scalars import Scalar, SymbolTable, commensurable, format_scalar
 
 SQUARED_RECT = {
     "width": 33,
@@ -304,6 +307,114 @@ def test_dehn_test_undecidable_data_is_inconsistent():
     assert verify_measure_tiling(t).ok
     with pytest.raises(InternalInconsistency):
         dehn_test(t)
+
+
+# ---------------------------------------------------------------------------
+# int evaluation against apply_functional
+# ---------------------------------------------------------------------------
+#
+# functional_identity and the certificate evaluate f once per element on
+# ints; the reference below evaluates it on every piece measure with
+# apply_functional, one Rat at a time.
+
+
+def reference_products(t, f):
+    """(f(muX)*f(muY), [f(muA_i)*f(muB_i)]) through apply_functional."""
+    lhs = apply_functional(f, t.mu_x()) * apply_functional(f, t.mu_y())
+    products = [
+        apply_functional(f, t.mu_a(i)) * apply_functional(f, t.mu_b(i))
+        for i in range(len(t.pieces))
+    ]
+    return lhs, products
+
+
+def _symbol_table():
+    """Symbols 0 unit, 1 PI, 2 tau (PI-kind), 3 h (decimal)."""
+    table = SymbolTable()
+    table.declare_pi_symbol("tau")
+    table.declare_decimal_symbol("h", Rat("2.5"), Rat(1, 100))
+    return table
+
+
+# a positive side: nonnegative coefficients on unit, PI, tau and h
+_side = st.lists(
+    st.fractions(min_value=0, max_value=4, max_denominator=6), min_size=4, max_size=4
+).filter(any)
+_functional = st.dictionaries(
+    st.integers(0, 3), st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=4
+)
+
+
+def _side_scalar(table, coeffs):
+    return Scalar(table, {i: Rat(c) for i, c in enumerate(coeffs)})
+
+
+@given(seed=st.integers(0, 10**6), wx=_side, hy=_side, f=_functional, drop=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_functional_identity_matches_apply_functional(seed, wx, hy, f, drop):
+    table = _symbol_table()
+    t = scaled_tiling(
+        table, guillotine_leaves(random.Random(seed)), _side_scalar(table, wx), _side_scalar(table, hy)
+    )
+    if drop and len(t.pieces) > 1:
+        # a missing piece breaks the identity; both sides must still match
+        t.pieces.pop()
+        t.labels.pop()
+    f = {k: Rat(v) for k, v in f.items()}
+    lhs, products = reference_products(t, f)
+    assert functional_identity(t, f) == (lhs, sum(products, Rat(0)))
+
+
+@given(seed=st.integers(0, 10**6), wx=_side, hy=_side)
+@settings(max_examples=100, deadline=None)
+def test_certificate_products_match_apply_functional(seed, wx, hy):
+    table = _symbol_table()
+    w, h = _side_scalar(table, wx), _side_scalar(table, hy)
+    t = scaled_tiling(table, guillotine_leaves(random.Random(seed)), w, h)
+    v = dehn_test(t)
+    if isinstance(v, CommensurableVerdict):
+        assert commensurable(w, h) is not None
+        return
+    lhs, products = reference_products(t, v.functional)
+    assert v.lhs == lhs
+    assert v.piece_products == products
+    assert functional_identity(t, v.functional) == (lhs, lhs)
+
+
+def test_mixed_pi_tilings_take_no_enclosure_and_no_apply_functional(monkeypatch):
+    # sides a + b*PI with a, b > 0: every element's sign is decided by the
+    # one-sign rule and every certificate is evaluated on ints
+    calls = {"enclosure": 0, "apply_functional": 0}
+    enclosure = SymbolTable.enclosure
+
+    def counted_enclosure(self, idx, bits):
+        calls["enclosure"] += 1
+        return enclosure(self, idx, bits)
+
+    def counted_apply(f, s):
+        calls["apply_functional"] += 1
+        return apply_functional(f, s)
+
+    monkeypatch.setattr(SymbolTable, "enclosure", counted_enclosure)
+    monkeypatch.setattr(dehn, "apply_functional", counted_apply)
+    rng = random.Random(20261020)
+    half = Fraction(1, 2)
+    sides = [((1, 1), (2, half)), ((3 * half, 2), (1, 3)), ((3, half), (half, 1))]
+    for (a, b), (c, d) in sides * 4:
+        table = SymbolTable()
+        text = serialize_measure_tiling(
+            scaled_tiling(
+                table,
+                guillotine_leaves(rng),
+                table.rational(Rat(a)) + table.pi(Rat(b)),
+                table.rational(Rat(c)) + table.pi(Rat(d)),
+            )
+        )
+        t = parse_measure_tiling(text)
+        v = dehn_test(t)
+        assert isinstance(v, DehnCertificate)
+        assert functional_identity(t, v.functional) == (v.lhs, sum(v.piece_products, Rat(0)))
+    assert calls == {"enclosure": 0, "apply_functional": 0}
 
 
 # ---------------------------------------------------------------------------

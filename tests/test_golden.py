@@ -59,6 +59,34 @@ piece A={a} B={u}
 piece A={b} B={u}
 piece A={c} B={u}
 """,
+    # the side measures below are not decided by one sign: a decimal
+    # symbol, or coefficients of both signs, so positivity climbs the
+    # interval rungs
+    "mixed-decimal": """\
+symbol h 2.5 err 1/100
+space X x0=1+h x1=1/2*PI+1/2*h
+space Y y0=3/2+PI y1=h
+piece A={x0} B={y0}
+piece A={x1} B={y0}
+piece A={x0} B={y1}
+piece A={x1} B={y1}
+""",
+    "mixed-negative": """\
+space X x0=-1+PI x1=-1/2*PI+2 x2=3/2
+space Y y0=-1*PI+4 y1=-1/2+1/3*PI
+piece A={x0,x1} B={y0}
+piece A={x2} B={y0}
+piece A={x0} B={y1}
+piece A={x1,x2} B={y1}
+""",
+    "mixed-tau": """\
+symbol tau pi
+space X x0=tau x1=-1+PI
+space Y y0=-1+PI y1=1/2*tau
+piece A={x0} B={y0}
+piece A={x1} B={y0}
+piece A={x0,x1} B={y1}
+""",
 }
 
 PLUS = ("--total", "6")
@@ -83,6 +111,9 @@ CASES = {
     "dehn-rational": ("rational", ["dehn"]),
     "dehn-mixed": ("mixed", ["dehn"]),
     "dehn-pi-line": ("pi-line", ["dehn"]),
+    "dehn-mixed-decimal": ("mixed-decimal", ["dehn"]),
+    "dehn-mixed-negative": ("mixed-negative", ["dehn"]),
+    "dehn-mixed-tau": ("mixed-tau", ["dehn"]),
     "dehn-plus-rational": (
         "rational", ["dehn", "--q", "1/2", "--r", "1", *PLUS, "--designated", "2,3,4,5"]
     ),
@@ -91,6 +122,9 @@ CASES = {
 
 # (exit code, sha256 of stdout)
 DIGESTS = {
+    "dehn-mixed-decimal": (3, "cf7f8abf36a07642f9c0b8edd388c86dad00f56833ba0435f32aff5b2d755648"),
+    "dehn-mixed-negative": (3, "83894232d3021a1ae533c54bbedf4835e5b63d6eaa0678e2f2c6f13893e9f55c"),
+    "dehn-mixed-tau": (3, "9085eb325f13e35d7fad799ecbb9ecc31892b1250cc9ef55c623d5768a4c920f"),
     "dehn-mixed": (3, "b4b70e48e104e363ac5957cc3e2de81642f90cf30ab09990ba3fa7b5d83d838f"),
     "dehn-pi-line": (3, "8298f48f53fab69151862b378a5bf6e8475359e66e454bbe5cfa9a45065473d0"),
     "dehn-plus-pi": (3, "bdbf57cdc68c679e9e6fc5787af1055ab27e61a19693651d61f55d6ddf7b55ce"),

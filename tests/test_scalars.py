@@ -1,10 +1,11 @@
 """Exact scalar arithmetic, certified comparisons, commensurability."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commensura._rat import Rat
@@ -213,6 +214,105 @@ def test_format_parse_round_trip(c0, c1):
     assert parse_scalar(table, format_scalar(s)) == s
 
 
+_REF_TOKEN = re.compile(r"-?\d+\s*/\s*\d+|-?\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*]|\S")
+
+
+def _reference_parse(table, text) -> dict:
+    """The literal grammar read term by term into a map index -> Fraction:
+    term (("+"|"-") term)*, term := rational ["*" SYMBOL] | SYMBOL."""
+    tokens = _REF_TOKEN.findall(text)
+    coeffs: dict = {}
+    i, sign = 0, 1
+    while True:
+        tok = tokens[i]
+        if tok[0].isdigit() or tok[0] == "-" and len(tok) > 1:
+            p, _, q = tok.replace(" ", "").partition("/")
+            coeff = Fraction(int(p), int(q or 1)) * sign
+            i += 1
+            idx = 0
+            if tokens[i:i + 1] == ["*"]:
+                idx = table.index_of(tokens[i + 1])
+                i += 2
+        else:
+            coeff, idx = Fraction(sign), table.index_of(tok)
+            i += 1
+        coeffs[idx] = coeffs.get(idx, 0) + coeff
+        if i == len(tokens):
+            return coeffs
+        sign = 1 if tokens[i] == "+" else -1
+        i += 1
+
+
+_ref_terms = st.lists(
+    st.tuples(
+        st.sampled_from(["+", "-"]),
+        st.one_of(st.none(), st.integers(-12, 12), st.tuples(st.integers(-12, 12), st.integers(1, 12))),
+        st.sampled_from([None, "PI", "tau", "h"]),
+        st.sampled_from(["", " ", "  "]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _literal(terms) -> str:
+    parts = []
+    for k, (op, coeff, sym, sp) in enumerate(terms):
+        if coeff is None:
+            coeff = 1 if sym is None else None
+        if isinstance(coeff, tuple):
+            text = f"{coeff[0]}{sp}/{sp}{coeff[1]}"
+        else:
+            text = "" if coeff is None else str(coeff)
+        if sym is not None:
+            text = sym if not text else f"{text}{sp}*{sp}{sym}"
+        # an operator glued to a signed or digit-led term would read as the
+        # term's own sign, so it is always followed by a space there
+        glue = " " if text[0].isdigit() or text[0] == "-" else sp
+        parts.append(text if not k else f"{sp}{op}{glue}{text}")
+    return "".join(parts)
+
+
+@given(terms=_ref_terms)
+@example(terms=[("+", None, "PI", ""), ("-", None, "PI", " ")])  # cancels to zero
+@example(terms=[("+", (3, 4), "tau", " "), ("-", (6, 8), "tau", ""), ("+", 2, None, " ")])
+@example(terms=[("+", (-5, 10), "h", " "), ("+", (1, 2), "h", "  "), ("+", (1, 3), "PI", " ")])
+@settings(max_examples=300, deadline=None)
+def test_parse_scalar_matches_the_fraction_reference(terms):
+    table = SymbolTable()
+    table.declare_pi_symbol("tau")
+    table.declare_decimal_symbol("h", Rat("2.5"), Rat(1, 100))
+    text = _literal(terms)
+    got = parse_scalar(table, text)
+    assert got == Scalar(table, _reference_parse(table, text))
+    assert got.den > 0 and math.gcd(got.den, *got.num.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1/0", ValueError, "zero denominator in rational literal"),
+        ("3 / 0*PI", ValueError, "zero denominator in rational literal"),
+        ("1/0 + y", ValueError, "zero denominator in rational literal"),
+        ("PI + 2*x", KeyError, "'unknown symbol: x'"),
+        ("y + 1/0", KeyError, "'unknown symbol: y'"),
+        ("2 *", ValueError, "expected symbol after '*'"),
+        ("2 * 3", ValueError, "expected symbol after '*'"),
+        ("1 + 2*", ValueError, "expected symbol after '*'"),
+        ("", ValueError, "empty scalar literal"),
+        ("1 +", ValueError, "expected a term"),
+        ("* PI", ValueError, "expected a term"),
+        ("PI PI", ValueError, "expected + or - at token 'PI'"),
+        ("1-1", ValueError, "expected + or - at token '-1'"),
+        ("2 & 3", ValueError, "bad scalar literal near '& 3'"),
+    ],
+)
+def test_parse_scalar_error_messages(table, text, error, message):
+    with pytest.raises(error) as info:
+        parse_scalar(table, text)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # algebraic laws (property tests)
 # ---------------------------------------------------------------------------
@@ -382,10 +482,12 @@ def test_ladder_against_oracles(pairs, data, value, radius, bits):
     rungs = list(rungs)
     if not pairs:
         assert table.compare(Scalar(table, coeffs), table.zero()) is got
-    # one term on the unit, PI or tau (for an Area, a pair of them) is
-    # decided by its coefficient alone; everything else takes an enclosure
-    one_term = len(coeffs) == 1 and set(next(iter(coeffs)) if pairs else coeffs) <= {0, 1, 2}
-    assert (rungs == []) == (one_term or not coeffs)
+    # a map whose every key is on the unit, PI or tau (for an Area, a pair
+    # of them) and whose coefficients all have one sign is decided by that
+    # sign alone; everything else takes an enclosure
+    keys = {i for k in coeffs for i in (k if pairs else (k,))}
+    one_sign = keys <= {0, 1, 2} and len({c > 0 for c in coeffs.values()}) == 1
+    assert (rungs == []) == (one_sign or not coeffs)
     if not coeffs:
         assert got is Comparison.EQUAL
         return
@@ -409,21 +511,12 @@ def test_ladder_against_oracles(pairs, data, value, radius, bits):
 
 
 _KNOWN_POSITIVE_PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
+_positive = st.fractions(min_value=0, max_value=6, max_denominator=7).filter(bool)
 
 
-@given(pairs=st.booleans(), data=st.data(), coeff=_nonzero, bits=st.sampled_from([None, 64, 512]))
-@settings(max_examples=200, deadline=None)
-def test_one_term_sign_matches_the_interval_rungs(pairs, data, coeff, bits):
-    # the one-term sign against the rungs it skips: the enclosures at 64
-    # bits and doubled budgets, climbed here by hand until one excludes 0
-    key = data.draw(st.sampled_from(_KNOWN_POSITIVE_PAIRS) if pairs else st.integers(0, 2))
-    coeffs = {key: Rat(coeff)}
-    table, rungs = _ladder_table(Fraction(1), Fraction(1, 10), bits)
-    if pairs:
-        got = compare_area(Area(table, coeffs), Area(table, {}))
-    else:
-        got = table.sign(Scalar(table, coeffs))
-    assert rungs == []
+def _climb(table, coeffs, pairs):
+    """The sign the interval rungs decide: the enclosures at 64 bits and
+    doubled budgets, climbed by hand until one excludes 0."""
     interval = _product_interval if pairs else _linear_interval
     rung = 64
     lo, hi = interval(table, coeffs, rung)
@@ -431,8 +524,65 @@ def test_one_term_sign_matches_the_interval_rungs(pairs, data, coeff, bits):
         rung *= 2
         assert rung <= table.precision_bits
         lo, hi = interval(table, coeffs, rung)
-    assert got is (Comparison.GREATER if lo > 0 else Comparison.LESS)
-    assert got is (Comparison.GREATER if coeff > 0 else Comparison.LESS)
+    return Comparison.GREATER if lo > 0 else Comparison.LESS
+
+
+@given(pairs=st.booleans(), data=st.data(), negative=st.booleans(), bits=st.sampled_from([None, 64, 512]))
+@settings(max_examples=200, deadline=None)
+def test_one_term_sign_matches_the_interval_rungs(pairs, data, negative, bits):
+    # the one-sign rule against the rungs it skips, on maps of 1 to 4
+    # terms (at most 3 for a Scalar) over the unit, PI and tau whose
+    # coefficients have one sign
+    keys = data.draw(
+        st.lists(
+            st.sampled_from(_KNOWN_POSITIVE_PAIRS) if pairs else st.integers(0, 2),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    magnitudes = data.draw(st.lists(_positive, min_size=len(keys), max_size=len(keys)))
+    sign = -1 if negative else 1
+    coeffs = {k: Rat(sign * m) for k, m in zip(keys, magnitudes)}
+    table, rungs = _ladder_table(Fraction(1), Fraction(1, 10), bits)
+    if pairs:
+        got = compare_area(Area(table, coeffs), Area(table, {}))
+    else:
+        got = table.sign(Scalar(table, coeffs))
+    assert rungs == []
+    assert got is _climb(table, coeffs, pairs)
+    assert got is (Comparison.LESS if negative else Comparison.GREATER)
+
+
+@pytest.mark.parametrize(
+    "pairs, coeffs, want",
+    [
+        (False, {0: 4, 1: -1}, Comparison.GREATER),  # 4 - PI
+        (False, {0: -3, 1: 1}, Comparison.GREATER),  # PI - 3
+        (False, {0: 3, 1: 1, 2: -2}, Comparison.LESS),  # 3 + PI - 2*tau
+        (False, {3: 1}, Comparison.GREATER),  # d
+        (False, {1: 1, 3: 1}, Comparison.GREATER),  # PI + d
+        (False, {0: -1, 3: -1}, Comparison.LESS),  # -1 - d
+        (True, {(1, 1): 1, (0, 0): -9}, Comparison.GREATER),  # PI*PI - 9
+        (True, {(0, 3): 1, (1, 2): 1}, Comparison.GREATER),  # d + PI*tau
+        (False, {1: 1, 2: -1}, Comparison.INDETERMINATE),  # PI - tau
+        (True, {(1, 1): 1, (1, 2): -1}, Comparison.INDETERMINATE),  # PI*PI - PI*tau
+    ],
+)
+def test_mixed_sign_and_decimal_maps_take_enclosures(pairs, coeffs, want):
+    table, rungs = _ladder_table(Fraction(1), Fraction(1, 10))
+    coeffs = {k: Rat(c) for k, c in coeffs.items()}
+    if pairs:
+        got = compare_area(Area(table, coeffs), Area(table, {}))
+    else:
+        got = table.sign(Scalar(table, coeffs))
+    assert got is want
+    assert 64 in rungs
+    if want is Comparison.INDETERMINATE:
+        # PI - tau refines at every rung and never excludes zero
+        assert max(rungs) == table.precision_bits
+    else:
+        assert got is _climb(table, coeffs, pairs)
 
 
 # ---------------------------------------------------------------------------
