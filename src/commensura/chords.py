@@ -43,7 +43,12 @@ class Visit:
 
 
 class ImmersedLoop:
-    """A closed germ walk with arc-length positions at every visit."""
+    """A closed germ walk with arc-length positions at every visit.
+
+    The positions and the total length depend on the step lengths alone, so
+    they are walked once per graph for each sequence of step lengths
+    (``graph.walks``), and loops with the same sequence share them.
+    """
 
     def __init__(self, graph: MetricGraph, steps):
         steps = tuple(steps)
@@ -54,14 +59,20 @@ class ImmersedLoop:
                 raise InternalInconsistency("loop steps do not close up")
         self.graph = graph
         self.steps = steps
-        visits = []
-        pos = graph.table.zero()
-        for i, g in enumerate(steps):
-            incoming = steps[i - 1]
-            visits.append(Visit(i, germ_source(g), pos, (g, reverse_germ(incoming))))
-            pos = pos + g[0].length
-        self.length = pos
-        self.visits = visits
+        self.lengths = lengths = tuple(g[0].length for g in steps)
+        walk = graph.walks.get(lengths)
+        if walk is None:
+            positions = []
+            pos = graph.table.zero()
+            for step in lengths:
+                positions.append(pos)
+                pos = pos + step
+            walk = graph.walks[lengths] = (tuple(positions), pos)
+        positions, self.length = walk
+        self.visits = [
+            Visit(i, germ_source(g), positions[i], (g, reverse_germ(steps[i - 1])))
+            for i, g in enumerate(steps)
+        ]
 
     def branch_visits(self) -> list[Visit]:
         return [v for v in self.visits if self.graph.degree(v.vertex) >= 3]

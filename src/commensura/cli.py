@@ -247,11 +247,14 @@ def _machine_text(payload: dict) -> str:
     return "".join(out)
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    """Write payload in machine format, else the text human() returns;
+    human is called only when that text is written."""
     if args.format == "machine":
         sys.stdout.write(_machine_text(payload))
     else:
-        sys.stdout.write(human if human.endswith("\n") else human + "\n")
+        text = human()
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _plot_value(table, scalar, digits: int) -> str:
@@ -317,7 +320,7 @@ def _cmd_check(args) -> int:
         lines.append(f"    witness points: {pts}")
     md = rep["min_degree"]
     lines.append(f"  min degree {md['value']}: {'ok' if md['ok'] else 'violated'}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     return 0 if audit.ok else 2
 
 
@@ -374,7 +377,7 @@ def _cmd_analyze(args) -> int:
     sub, name = _pick_subgraph(graph, args.subgraph)
     result = analyze(graph, sub, subgraph_name=name, cycle_cap=args.cycle_cap)
     report = result.as_report()
-    _emit(args, report, _human_analysis(report))
+    _emit(args, report, lambda: _human_analysis(report))
     tilings = [(f"cycle[{i}]", c.tiling) for i, c in enumerate(result.cycles)]
     tilings += [(f"pair[{i}].product", p.product) for i, p in enumerate(result.pairs)]
     tilings += [(f"pair[{i}].axis", p.axis) for i, p in enumerate(result.pairs)]
@@ -404,7 +407,7 @@ def _cmd_chords(args) -> int:
         )
     if not chords:
         lines.append("  no chords")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     return 0
 
 
@@ -438,7 +441,7 @@ def _cmd_tile(args) -> int:
             chain.append(("axis", *torus_form(report)))
         payload = {"kind": "tiling-chain", "axis": None}
         payload.update((name, tiling_payload(t, r)) for name, t, r in chain)
-    _emit(args, payload, "\n".join(serialize_tiling(t, r) for _, t, r in chain))
+    _emit(args, payload, lambda: "\n".join(serialize_tiling(t, r) for _, t, r in chain))
     _write_plot(args, graph.table, [(name, t) for name, t, _ in chain])
     return 0 if report.ok else 3
 
@@ -475,16 +478,16 @@ def _cmd_dehn(args) -> int:
             result = dehn_plus_test(tiling, q=q, r=r, a=a, designated=designated)
         except AuditFailure as exc:
             payload["dehn_plus"] = {"verdict": "audit-failure", "clause": exc.clause, "detail": str(exc)}
-            _emit(args, payload, "\n".join(lines + [f"audit failure: {exc}"]))
+            _emit(args, payload, lambda: "\n".join(lines + [f"audit failure: {exc}"]))
             return 3
         payload["dehn_plus"] = result.as_report()
         if isinstance(result, QRCommensurable):
             lines.append(f"q = {result.ratio} * r")
-            _emit(args, payload, "\n".join(lines))
+            _emit(args, payload, lambda: "\n".join(lines))
             return 0 if ok else 3
         lines.append("q and r are incommensurable; separating functional found")
         lines.append(f"  violated axiom: {result.violated.status}")
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, payload, lambda: "\n".join(lines))
         return 3
 
     result = dehn_test(tiling)
@@ -493,12 +496,12 @@ def _cmd_dehn(args) -> int:
         lines.append(f"all side measures are rational multiples of {format_scalar(result.base)}")
         lines.append(f"  x ratios: {', '.join(str(r) for r in result.x_ratios)}")
         lines.append(f"  y ratios: {', '.join(str(r) for r in result.y_ratios)}")
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, payload, lambda: "\n".join(lines))
         return 0 if ok else 3
     lines.append("sides are incommensurable; separating functional found")
     lines.append(f"  f(width) * f(height) = {result.lhs}, yet every piece contributes a square")
     lines.append(f"  violated axiom: {result.violated.status}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     return 3
 
 
@@ -513,13 +516,16 @@ def _cmd_decompose(args) -> int:
         raise UsageError(f"no segment with edges {args.segment} (segments: {known})")
     result = decompose_segment(sub, match, cap=args.cycle_cap)
     payload = {"kind": "decomposition", **result.as_report()}
-    terms = " + ".join(
-        f"({t.coefficient}) * {t.kind}({','.join(t.edges)})" for t in result.terms
-    )
-    human = (
-        f"segment {','.join(sorted(match.edge_ids))} of length"
-        f" {format_scalar(match.length)}\n  = {terms}\n  re-expansion verified"
-    )
+
+    def human() -> str:
+        terms = " + ".join(
+            f"({t.coefficient}) * {t.kind}({','.join(t.edges)})" for t in result.terms
+        )
+        return (
+            f"segment {','.join(sorted(match.edge_ids))} of length"
+            f" {format_scalar(match.length)}\n  = {terms}\n  re-expansion verified"
+        )
+
     _emit(args, payload, human)
     return 0
 

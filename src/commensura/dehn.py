@@ -33,7 +33,6 @@ from .scalars import (
     SymbolTable,
     commensurable,
     compare_area,
-    format_compact,
     format_scalar,
     parse_scalar,
     rational_line,
@@ -482,13 +481,28 @@ def parse_measure_tiling(text: str, precision_bits: int | None = None) -> Measur
         raise GraphFormatError(str(exc)) from None
 
 
+def _measure_literal(m: Scalar) -> str:
+    """The canonical literal of m without spaces, in a form parse_scalar
+    reads back: a negative term after the first is written ``+-c`` (``+-1*PI``
+    for a bare symbol), since the grammar reads ``-c`` as one signed
+    rational, not as an operator and a term."""
+    first, *rest = format_scalar(m).split(" ")
+    out = [first]
+    for op, term in zip(rest[::2], rest[1::2]):
+        if op == "+":
+            out.append(term)
+        else:
+            out.append("-" + term if term[0].isdigit() else "-1*" + term)
+    return "+".join(out)
+
+
 def serialize_measure_tiling(t: MeasureTiling) -> str:
     lines = t.table.symbol_lines()
     lines.append(
-        "space X " + " ".join(f"{n}={format_compact(m)}" for n, m in zip(t.x_names, t.x_measures))
+        "space X " + " ".join(f"{n}={_measure_literal(m)}" for n, m in zip(t.x_names, t.x_measures))
     )
     lines.append(
-        "space Y " + " ".join(f"{n}={format_compact(m)}" for n, m in zip(t.y_names, t.y_measures))
+        "space Y " + " ".join(f"{n}={_measure_literal(m)}" for n, m in zip(t.y_names, t.y_measures))
     )
     for a, b in t.pieces:
         an = ",".join(t.x_names[j] for j in sorted(a))

@@ -255,9 +255,66 @@ class CycleAnalysis:
         }
 
 
-def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
-    """Certify one embedded cycle: ratio, chords, tiling, area bounds."""
+def _shape_key(kind: str, loop: ImmersedLoop, chords, *lengths) -> tuple:
+    """What the shape facts of a loop depend on, with no vertex names: its
+    step lengths, which visits branch, each chord's visit indices and side,
+    and the object lengths the facts read besides."""
+    return (
+        kind,
+        loop.lengths,
+        tuple(vis.index for vis in loop.branch_visits()),
+        tuple((ch.s.index, ch.t.index, ch.z) for ch in chords),
+        *lengths,
+    )
+
+
+@dataclass
+class _CycleShape:
+    """Every fact analyze_cycle derives from a cycle's shape, kept in
+    ``graph.shapes`` for the cycles of equal shape.  The facts stop where
+    analyze_cycle raises: areas stays empty after a failed tiling, and
+    budgets after a failed area check."""
+
+    tiling: GeometricTiling
+    report: TilingReport
+    areas: tuple = ()  # (clear area, required area, ok) per visit
+    budgets: tuple = ()  # (z total, bound, ok) per branch visit
+
+
+def _cycle_shape(graph: MetricGraph, cycle: Cycle, loop: ImmersedLoop, chords) -> _CycleShape:
     table = graph.table
+    tiling = annulus_tiling(loop, chords)
+    shape = _CycleShape(tiling, _certificate(graph, tiling, measured=False).report)
+    if not shape.report.ok:
+        return shape
+    bound = table.pi(Rat(2)) * (cycle.length - table.pi(Rat(2)))
+    # the squares clear of a visit are all squares but those at its chords
+    no_area = Area(table, {})
+    incident: dict = {vis.index: [] for vis in loop.visits}
+    areas = []
+    for ch in chords:
+        area = ch.square_area()
+        areas.append(area)
+        incident[ch.s.index].append(area)
+        incident[ch.t.index].append(area)
+    every = sum_terms(areas, no_area)
+    rows = []
+    for vis in loop.visits:
+        total = every - sum_terms(incident[vis.index], no_area)
+        cmp = table.require(compare_area(total, bound), "avoidance bound")
+        rows.append((total, bound, cmp is not Comparison.LESS))
+    shape.areas = tuple(rows)
+    if all(ok for _, _, ok in rows):
+        shape.budgets = tuple(row[1:] for row in chord_budgets(loop, chords))
+    return shape
+
+
+def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
+    """Certify one embedded cycle: ratio, chords, tiling, area bounds.
+
+    The tiling, area and budget facts are computed once per cycle shape;
+    the records that name vertices, and the checks on them, are per cycle.
+    """
     ratio = pi_ratio(cycle.length)
     if ratio is None:
         raise InternalInconsistency(
@@ -271,35 +328,23 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
                 f"chord {ch.s.vertex}-{ch.t.vertex} has length {format_scalar(ch.distance)},"
                 " not a rational multiple of PI"
             )
-    tiling = annulus_tiling(loop, chords)
-    report = _certificate(graph, tiling, measured=False).report
+    key = _shape_key("cycle", loop, chords, cycle.length)
+    shape = graph.shapes.get(key)
+    if shape is None:
+        shape = graph.shapes[key] = _cycle_shape(graph, cycle, loop, chords)
+    report = shape.report
     if not report.ok:
         raise InternalInconsistency(
             f"annulus tiling of cycle {sorted(cycle.edge_ids)} failed: {report.status}"
         )
-    bound = table.pi(Rat(2)) * (cycle.length - table.pi(Rat(2)))
-    # the squares clear of a visit are all squares but those at its chords
-    no_area = Area(table, {})
-    incident: dict = {vis.index: [] for vis in loop.visits}
-    areas = []
-    for ch in chords:
-        area = ch.square_area()
-        areas.append(area)
-        incident[ch.s.index].append(area)
-        incident[ch.t.index].append(area)
-    every = sum_terms(areas, no_area)
-    checks = []
-    for vis in loop.visits:
-        total = every - sum_terms(incident[vis.index], no_area)
-        cmp = table.require(compare_area(total, bound), "avoidance bound")
-        checks.append(AreaCheck(vis.vertex, vis.position, total, bound, cmp is not Comparison.LESS))
+    checks = [AreaCheck(vis.vertex, vis.position, *row) for vis, row in zip(loop.visits, shape.areas)]
     bad = [c for c in checks if not c.ok]
     if bad:
         raise InternalInconsistency(
             f"chords avoiding {bad[0].vertex} cover only {format_area(bad[0].total)}"
             f" of the required {format_area(bad[0].bound)}"
         )
-    budgets = tuple(chord_budgets(loop, chords))
+    budgets = tuple((vis, *row) for vis, row in zip(loop.branch_visits(), shape.budgets))
     over = [row for row in budgets if not row[3]]
     if over:
         raise InternalInconsistency(
@@ -310,7 +355,7 @@ def analyze_cycle(graph: MetricGraph, cycle: Cycle) -> CycleAnalysis:
         loop=loop,
         ratio=ratio,
         chords=tuple(chords),
-        tiling=tiling,
+        tiling=shape.tiling,
         tiling_report=report,
         area_checks=tuple(checks),
         budgets=budgets,
@@ -441,8 +486,13 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         )
     loop = bar_loop(graph, bar)
     chords = chords_of_loop(loop)
-    tiling = annulus_tiling(loop, chords, bar)
-    cert = _certificate(graph, tiling, measured=True)
+    # the tiling and its certificate are kept once per bar loop shape
+    key = _shape_key("bar", loop, chords, bar.cycle1.length, bar.length)
+    shape = graph.shapes.get(key)
+    if shape is None:
+        tiling = annulus_tiling(loop, chords, bar)
+        shape = graph.shapes[key] = (tiling, _certificate(graph, tiling, measured=True))
+    tiling, cert = shape
     report = cert.report
     if not report.ok:
         raise InternalInconsistency(

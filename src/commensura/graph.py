@@ -80,8 +80,12 @@ class MetricGraph:
         self.subgraph_decls: dict[str, tuple[str, ...]] = {}
         self._germs: dict[str, list[Germ]] = {}
         self._trees: dict[str, SourceTree] = {}  # memo of tree(); cleared on change
-        # the engine's certificates per distinct tiling; cleared with _trees
+        # cleared with _trees: the loop positions per step-length sequence
+        # (chords.ImmersedLoop), and the engine's certificates per distinct
+        # tiling and its facts per loop shape
+        self.walks: dict = {}
         self.certificates: dict = {}
+        self.shapes: dict = {}
 
     # -- construction -------------------------------------------------------
 
@@ -91,8 +95,7 @@ class MetricGraph:
         self._order[name] = len(self.vertices)
         self.vertices.append(name)
         self._germs[name] = []
-        self._trees.clear()
-        self.certificates.clear()
+        self._changed()
 
     def add_edge(self, eid: str, u: str, v: str, length: Scalar) -> Edge:
         if eid in self.edge_by_id:
@@ -110,9 +113,13 @@ class MetricGraph:
         self.edge_by_id[eid] = edge
         self._germs[u].append((edge, 0))
         self._germs[v].append((edge, 1))
-        self._trees.clear()
-        self.certificates.clear()
+        self._changed()
         return edge
+
+    def _changed(self) -> None:
+        """Drop every memo that depends on the graph's vertices and edges."""
+        for memo in (self._trees, self.walks, self.certificates, self.shapes):
+            memo.clear()
 
     def declare_subgraph(self, name: str, edge_ids: Sequence[str]) -> None:
         if name in self.subgraph_decls:

@@ -35,9 +35,10 @@ This module also owns every rational-line decision: whether values are
 rational multiples of one another (``commensurable``, ``pi_ratio``) and
 the one line a list of values lies on (``rational_line``).
 
-Instances are immutable after construction; the only internal mutation is a
-monotone enclosure cache, which only ever shrinks intervals, so concurrent
-readers stay sound.
+Instances are immutable after construction.  The only internal mutations
+are caches: a monotone enclosure cache, which only ever shrinks intervals,
+and each instance's hashable key and formatted text, each written once from
+its value, so concurrent readers stay sound.
 """
 
 from __future__ import annotations
@@ -454,9 +455,10 @@ def sum_terms(items: Iterable, start):
 class _Combination:
     """Immutable combination of basis keys with rational coefficients, kept
     as integer numerators ``num`` over one denominator ``den`` in the
-    canonical form of the module docstring."""
+    canonical form of the module docstring.  The hashable key and the
+    formatted text are kept on the instance once computed."""
 
-    __slots__ = ("table", "num", "den", "_key")
+    __slots__ = ("table", "num", "den", "_key", "_text")
 
     def __init__(self, table: SymbolTable, coeffs: dict):
         """From a map key -> rational; zero coefficients are dropped."""
@@ -466,6 +468,7 @@ class _Combination:
         self.num = {k: p * (den // q) for k, (p, q) in terms}
         self.den = den
         self._key = None
+        self._text = None
 
     @classmethod
     def _make(cls, table: SymbolTable, num: dict, den: int):
@@ -475,6 +478,7 @@ class _Combination:
         obj.num = num
         obj.den = den
         obj._key = None
+        obj._text = None
         return obj
 
     @classmethod
@@ -793,7 +797,15 @@ def format_compact(a: Scalar) -> str:
 
 
 def format_scalar(a: Scalar) -> str:
-    """Canonical literal; symbols in table order, the rational part last."""
+    """Canonical literal; symbols in table order, the rational part last.
+    Written once per instance."""
+    text = a._text
+    if text is None:
+        text = a._text = _scalar_text(a)
+    return text
+
+
+def _scalar_text(a: Scalar) -> str:
     if not a.num:
         return "0"
     num, den, table = a.num, a.den, a.table
@@ -814,7 +826,15 @@ def format_scalar(a: Scalar) -> str:
 
 
 def format_area(a: Area) -> str:
-    """Readable pair-basis form, e.g. ``16/9*PI*PI``; reports only."""
+    """Readable pair-basis form, e.g. ``16/9*PI*PI``; reports only.
+    Written once per instance."""
+    text = a._text
+    if text is None:
+        text = a._text = _area_text(a)
+    return text
+
+
+def _area_text(a: Area) -> str:
     if not a.num:
         return "0"
     num, den, table = a.num, a.den, a.table

@@ -220,6 +220,19 @@ def test_tile_pair_of_hexagons(capsys, heawood_path):
     assert out.count("verdict ok") == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["tile", "--loop", OCT], ["tile", "--pair", HEX1, HEX2]]
+)
+def test_machine_format_builds_no_human_text(capsys, monkeypatch, heawood_path, argv):
+    def refuse(*args):
+        raise AssertionError("human text built under --format machine")
+
+    monkeypatch.setattr(cli, "_human_analysis", refuse)
+    monkeypatch.setattr(cli, "serialize_tiling", refuse)
+    code, out, _ = run(capsys, "--format", "machine", *argv, heawood_path)
+    assert code == 0 and json.loads(out)
+
+
 def test_tile_needs_exactly_one_mode(capsys, heawood_path):
     code, _, err = run(capsys, "tile", heawood_path)
     assert code == 1

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commensura import dehn
@@ -31,7 +31,7 @@ from commensura.dehn import (
     verify_measure_tiling,
 )
 from commensura.errors import AuditFailure, GraphFormatError, InternalInconsistency
-from commensura.scalars import Scalar, SymbolTable, commensurable, format_scalar
+from commensura.scalars import Comparison, Scalar, SymbolTable, commensurable, format_scalar
 
 SQUARED_RECT = {
     "width": 33,
@@ -537,18 +537,35 @@ def test_dehn_plus_boundary_a_four_needs_designated():
 # ---------------------------------------------------------------------------
 
 
-def test_measure_tiling_round_trip():
+# a measure: coefficients of 1, PI and the decimal symbol h, of either sign
+_measure = st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=6)] * 3)
+
+
+@given(xs=st.lists(_measure, min_size=1, max_size=4), y=_measure)
+@example(xs=[(1, 0, 0), (2, Fraction(1, 3), 0)], y=(0, 1, 0))
+@example(xs=[(-1, 1, 0), (4, -1, 0), (1, -1, 1)], y=(Fraction(-1, 2), -1, 2))
+@settings(max_examples=150, deadline=None)
+def test_measure_tiling_round_trip(xs, y):
     table = SymbolTable()
+    table.declare_decimal_symbol("h", Rat("2.5"), Rat(1, 100))
+    values = []
+    for cs in xs + [y]:
+        v = Scalar(table, {k: Rat(c) for k, c in enumerate(cs)})
+        sign = table.sign(v)
+        assume(sign in (Comparison.GREATER, Comparison.LESS))
+        values.append(v if sign is Comparison.GREATER else -v)  # mixed signs stay mixed
     t = MeasureTiling(
         table,
-        [("x1", table.rational(1)), ("x2", table.pi(Fraction(1, 3)) + table.rational(2))],
-        [("y1", table.pi())],
-        [({0}, {0}), ({1}, {0})],
+        [(f"x{i}", v) for i, v in enumerate(values[:-1])],
+        [("y1", values[-1])],
+        [({i}, {0}) for i in range(len(xs))],
     )
     text = serialize_measure_tiling(t)
     t2 = parse_measure_tiling(text)
     assert serialize_measure_tiling(t2) == text
-    assert [format_scalar(m) for m in t2.x_measures] == [format_scalar(m) for m in t.x_measures]
+    for got, want in ((t2.x_measures, t.x_measures), (t2.y_measures, t.y_measures)):
+        assert [(m.num, m.den) for m in got] == [(m.num, m.den) for m in want]
+        assert [format_scalar(m) for m in got] == [format_scalar(m) for m in want]
     assert t2.pieces == t.pieces
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import types
@@ -18,6 +19,7 @@ from commensura.engine import (
     decompose_segment,
 )
 from commensura import generators
+from commensura import scalars as scalars_mod
 from commensura import chords as chords_mod
 from commensura.chords import bar_loop, chords_of_loop, chords_of_subgraph, loop_from_cycle
 from commensura.errors import (
@@ -44,7 +46,7 @@ from commensura.graph import (
     parse_graph,
     segments_of,
 )
-from commensura.scalars import Area, SymbolTable, format_scalar, pi_ratio, sum_terms
+from commensura.scalars import Area, Comparison, SymbolTable, format_scalar, pi_ratio, sum_terms
 from commensura.tilings import DiamondPiece, GeometricTiling, _Grid, annulus_tiling, verify_tiling
 
 from test_chords import k44 as k44_graph
@@ -618,7 +620,8 @@ def test_area_totals_match_direct_sums(heawood_analysis):
 
 def test_heawood_analyze_tests_each_vertex_pair_once_and_each_square_once():
     """Work-count guard: the chord test runs at most once per ordered
-    vertex pair, and each cycle chord's square area is built once."""
+    vertex pair, and each cycle chord's square area is built once per
+    cycle shape (2,184 times when every cycle built its own)."""
     real_geodesic = chords_mod._geodesic_between
     real_compare = SymbolTable.compare
     inside = []
@@ -643,7 +646,8 @@ def test_heawood_analyze_tests_each_vertex_pair_once_and_each_square_once():
         a = analyze(build("heawood"))
     assert a.conformant
     assert 0 < from_geodesic <= 14 * 13
-    assert sq.call_count == sum(len(c.chords) for c in a.cycles) > 0
+    shapes = {engine_mod._shape_key("cycle", c.loop, c.chords, c.cycle.length): c for c in a.cycles}
+    assert sq.call_count == sum(len(c.chords) for c in shapes.values()) == 148
 
 
 def test_heawood_analyze_decides_few_pi_ratios():
@@ -806,15 +810,17 @@ def test_chord_ratio_is_the_direct_pi_ratio(name):
 
 def _object_reports(text, fresh_each):
     """Every cycle and bar of a freshly parsed graph, analysed one at a
-    time; with fresh_each, the graph's certificates are dropped before
-    each object, so every one is certified from scratch."""
+    time; with fresh_each, the graph's certificates, shape facts and loop
+    walks are dropped before each object, so every one is certified from
+    scratch."""
     g = parse_graph(text)
     cycles = cycles_of(g.whole())
     out = []
     for analyze_one, objects in ((analyze_cycle, cycles), (analyze_bar, bars_of(g.whole(), cycles))):
         for obj in objects:
             if fresh_each:
-                g.certificates.clear()
+                for memo in (g.certificates, g.shapes, g.walks):
+                    memo.clear()
             out.append(analyze_one(g, obj).as_report())
     return out, g
 
@@ -831,7 +837,8 @@ def test_mixed_basis_shared_certificates_match_single_object_analysis(text):
     shared, g = _object_reports(text, fresh_each=False)
     alone, _ = _object_reports(text, fresh_each=True)
     assert shared == alone
-    assert len(g.certificates) < len(shared)  # some certificates were shared
+    # some shapes, and some certificates across shapes, were shared
+    assert len(g.certificates) < len(g.shapes) < len(shared)
     if text == MIXED_THETA:
         a = analyze(parse_graph(text))
         assert a.conformant and [c.as_report() for c in a.cycles] == shared
@@ -934,17 +941,165 @@ def test_resource_limits_are_not_stored():
     with mock.patch.object(engine_mod, "verify_tiling", undecided):
         with pytest.raises(PrecisionExhausted):
             analyze_cycle(g, cycle)
-    assert g.certificates == {}
+    assert g.certificates == {} and g.shapes == {}
+    # a limit met after the tiling is verified keeps the tiling's
+    # certificate, but no shape facts
+    with mock.patch.object(engine_mod, "compare_area", lambda *args: Comparison.INDETERMINATE):
+        with pytest.raises(PrecisionExhausted):
+            analyze_cycle(g, cycle)
+    assert len(g.certificates) == 1 and g.shapes == {}
+    g.certificates.clear()
     calls = []
     with mock.patch.object(engine_mod, "verify_tiling", lambda t, *a: calls.append(t) or real(t, *a)):
         assert analyze_cycle(g, cycle).tiling_report.ok
         analyze_cycle(g, cycle)
-    assert len(calls) == 1 and len(g.certificates) == 1
+    assert len(calls) == 1 and len(g.certificates) == 1 and len(g.shapes) == 1
 
 
 def test_graph_change_drops_certificates():
     g = build("theta", strands=3, length="PI")
     analyze(g)
-    assert g.certificates
+    assert g.certificates and g.shapes and g.walks
     g.add_vertex("w")
-    assert g.certificates == {}
+    assert g.certificates == g.shapes == g.walks == {}
+    analyze_cycle(g, cycles_of(g.whole())[0])
+    assert g.certificates and g.shapes and g.walks
+    g.add_edge("s3", "u", "w", g.table.pi())
+    assert g.certificates == g.shapes == g.walks == {}
+
+
+# ---------------------------------------------------------------------------
+# facts shared between loops of one shape
+# ---------------------------------------------------------------------------
+
+
+def _octagon(g):
+    """An 8-cycle of the Heawood graph g, with its loop and chords."""
+    cycle = next(c for c in cycles_of(g.whole()) if len(c.steps) == 8)
+    loop = loop_from_cycle(g, cycle)
+    return cycle, loop, chords_of_loop(loop)
+
+
+def _shape_variants(loop, chords):
+    """(loop, chords) pairs that each differ from the given one in a single
+    part of a shape: one step length, one branch index, one chord side, or
+    one chord visit index."""
+    table = loop.graph.table
+    visits = loop.branch_visits()
+    longer = types.SimpleNamespace(
+        lengths=loop.lengths[:-1] + (loop.lengths[-1] + table.rational(1),),
+        branch_visits=loop.branch_visits,
+    )
+    moved = dataclasses.replace(visits[0], index=visits[0].index + len(loop.visits))
+    branched = types.SimpleNamespace(lengths=loop.lengths, branch_visits=lambda: [moved] + visits[1:])
+    first = chords[0]
+    wider = [dataclasses.replace(first, z=first.z + table.pi(Rat(1, 12)))] + chords[1:]
+    other = next(v for v in loop.visits if v.index not in (first.s.index, first.t.index))
+    shifted = [dataclasses.replace(first, t=other)] + chords[1:]
+    return [(longer, chords), (branched, chords), (loop, wider), (loop, shifted)]
+
+
+def test_shape_key_tells_every_part_apart():
+    g = build("heawood")
+    cycle, loop, chords = _octagon(g)
+    base = engine_mod._shape_key("cycle", loop, chords, cycle.length)
+    keys = [engine_mod._shape_key("cycle", lp, ch, cycle.length) for lp, ch in _shape_variants(loop, chords)]
+    keys.append(engine_mod._shape_key("cycle", loop, chords, cycle.length + g.table.rational(1)))
+    bar = bars_of(g.whole())[0]
+    bar_loop_ = bar_loop(g, bar)
+    bar_chords = chords_of_loop(bar_loop_)
+    lengths = (bar.cycle1.length, bar.length)
+    bar_base = engine_mod._shape_key("bar", bar_loop_, bar_chords, *lengths)
+    one = g.table.rational(1)
+    keys += [
+        engine_mod._shape_key("bar", bar_loop_, bar_chords, lengths[0] + one, lengths[1]),
+        engine_mod._shape_key("bar", bar_loop_, bar_chords, lengths[0], lengths[1] + one),
+    ]
+    keys += [engine_mod._shape_key("bar", lp, ch, *lengths) for lp, ch in _shape_variants(bar_loop_, bar_chords)]
+    memo = {base: "cycle", bar_base: "bar"}
+    for i, key in enumerate(keys):
+        assert memo.setdefault(key, i) == i  # a new entry for every variant
+    assert len(memo) == len(keys) + 2
+
+
+def test_a_changed_chord_gets_its_own_shape():
+    """Through analyze_cycle: a chord list that differs in one side or one
+    visit index is certified afresh, and fails, while the stored shape of
+    the true chords stays as it was."""
+    g = build("heawood")
+    cycle, loop, chords = _octagon(g)
+    first = analyze_cycle(g, cycle)
+    (stored,) = g.shapes.values()
+    for _, changed in _shape_variants(loop, chords)[2:]:
+        with mock.patch.object(engine_mod, "chords_of_loop", lambda lp, ch=changed: ch):
+            with pytest.raises(InternalInconsistency, match="annulus tiling"):
+                analyze_cycle(g, cycle)
+    assert len(g.shapes) == 3 and stored in g.shapes.values()
+    assert analyze_cycle(g, cycle).tiling is first.tiling
+
+
+def test_equal_shapes_from_other_loops_share_the_stored_facts():
+    g = build("heawood")
+    octagons = [c for c in cycles_of(g.whole()) if len(c.steps) == 8]
+    results = [analyze_cycle(g, c) for c in octagons]
+    assert len(octagons) > len(g.shapes)
+    by_shape = {}
+    for r in results:
+        key = engine_mod._shape_key("cycle", r.loop, r.chords, r.cycle.length)
+        by_shape.setdefault(key, []).append(r)
+    assert len(by_shape) == len(g.shapes)
+    r1, r2 = next(group for group in by_shape.values() if len(group) > 1)[:2]
+    assert r1.cycle != r2.cycle
+    assert r1.tiling is r2.tiling and r1.tiling_report is r2.tiling_report
+    # the loops share positions; the records naming vertices are their own
+    assert all(v1.position is v2.position for v1, v2 in zip(r1.loop.visits, r2.loop.visits))
+    assert [c.vertex for c in r1.area_checks] != [c.vertex for c in r2.area_checks]
+    assert [c.total for c in r1.area_checks] == [c.total for c in r2.area_checks]
+    assert [row[0].vertex for row in r2.budgets] == [v.vertex for v in r2.loop.branch_visits()]
+
+
+def test_shape_messages_name_each_object():
+    """A shape whose check fails raises, for every cycle of that shape,
+    with that cycle's own names."""
+    g = build("heawood")
+    octagons = [c for c in cycles_of(g.whole()) if len(c.steps) == 8]
+    real = engine_mod.chords_of_loop
+    messages = []
+    with mock.patch.object(engine_mod, "chords_of_loop", lambda lp: real(lp)[:-2]):
+        for c in octagons[:6]:
+            with pytest.raises(InternalInconsistency) as info:
+                analyze_cycle(g, c)
+            messages.append((str(info.value), sorted(c.edge_ids)))
+    assert len(g.shapes) < len(messages)
+    for text, edges in messages:
+        assert text.startswith(f"annulus tiling of cycle {edges} failed")
+
+
+def test_heawood_analyze_builds_each_shape_once():
+    """Work-count guard: 549 loops, 21 shapes (13 cycle, 8 bar), one
+    annulus tiling and one shape entry each."""
+    counted = mock.Mock(wraps=annulus_tiling)
+    cycle_shapes = mock.Mock(wraps=engine_mod._cycle_shape)
+    g = build("heawood")
+    with mock.patch.object(engine_mod, "annulus_tiling", counted), mock.patch.object(
+        engine_mod, "_cycle_shape", cycle_shapes
+    ):
+        a = analyze(g)
+    assert a.conformant and len(a.cycles) + len(a.bars) == 549
+    assert counted.call_count == len(g.shapes) == 21
+    assert cycle_shapes.call_count == 13
+
+
+def test_heawood_analyze_formats_each_scalar_once():
+    """Work-count guard: analyze and its report write each Scalar and Area
+    text once per instance (18,927 and 4,368 times when every use wrote
+    its own)."""
+    scalar_text = mock.Mock(wraps=scalars_mod._scalar_text)
+    area_text = mock.Mock(wraps=scalars_mod._area_text)
+    with mock.patch.object(scalars_mod, "_scalar_text", scalar_text), mock.patch.object(
+        scalars_mod, "_area_text", area_text
+    ):
+        a = analyze(build("heawood"))
+        a.as_report()
+    assert 0 < scalar_text.call_count <= 1200
+    assert 0 < area_text.call_count <= 200

@@ -17,10 +17,32 @@ PERTURBED_HEX = "e0,e10,e11,e6,e7,e1"
 HEX2 = "e3,e15,e17,e14,e13,e5"
 OCT = "e0,e1,e10,e11,e18,e19,e4,e5"
 
+
+def _k44(split: bool) -> str:
+    """K4,4 with every edge PI/2, vertices declared as the k44 graph of
+    tests/test_chords.py declares them.  Split, the edge u1-x1 carries a
+    vertex a at PI/4 + h/10, declared last: its loops have more shapes (13)
+    than distinct tilings (4)."""
+    if split:
+        lines = ["symbol h 2.5 err 1/100"] + [f"vertex {p}{i}" for p in "ux" for i in range(1, 5)]
+        lines.append("vertex a")
+    else:
+        lines = [f"vertex {v}" for v in ("u1", "x1", "x2", "x3", "x4", "u2", "u3", "u4")]
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if split and (i, j) == (1, 1):
+                lines += ["edge e0 u1 a 1/4*PI + 1/10*h", "edge f0 a x1 1/4*PI - 1/10*h"]
+            else:
+                lines.append(f"edge e{4 * i + j - 5} u{i} x{j} 1/2*PI")
+    return "\n".join(lines) + "\n"
+
+
 GRAPHS = {
     "dumbbell": generate("dumbbell"),
     "theta-mixed": "vertex u\nvertex v\nedge s0 u v 1\nedge s1 u v PI - 1\nedge s2 u v PI - 1\n",
     "heawood-perturbed": generate("perturb", base="heawood", edge="e0", delta="1/6*PI"),
+    "k44": _k44(split=False),
+    "k44-split": _k44(split=True),
 }
 
 TILINGS = {
@@ -108,6 +130,8 @@ CASES = {
     ),
     "heawood-perturbed-decompose": ("heawood-perturbed", ["decompose", "--segment", "e0"]),
     "heawood-perturbed-analyze": ("heawood-perturbed", ["analyze"]),
+    "k44-analyze": ("k44", ["analyze"]),
+    "k44-split-analyze": ("k44-split", ["analyze"]),
     "dehn-rational": ("rational", ["dehn"]),
     "dehn-mixed": ("mixed", ["dehn"]),
     "dehn-pi-line": ("pi-line", ["dehn"]),
@@ -140,6 +164,8 @@ DIGESTS = {
     "heawood-perturbed-decompose": (0, "38cd7d1528774b756d528668d5560b9890edde9579da9dab764fc1a47b1bc476"),
     "heawood-perturbed-tile-loop": (3, "e16f66373e0740c27f6171d0bd42678e99b9c4de0380755893d4124213c3470d"),
     "heawood-perturbed-tile-pair": (3, "747091d9c76a474fbebde9e0f7afb499205c7c24f76ad3d006da2144a468f6ec"),
+    "k44-analyze": (0, "752ba841b6b4b64f0eb3c05e2e8d12098444c560ce4d8b8ca860c14ac72d742a"),
+    "k44-split-analyze": (0, "38f98648a2752445548e470e074793cb55d2e34fe604b0bd6bed723052f526e1"),
     "theta-mixed-analyze": (2, "566c332f50c72844395bc561145c17c6c7eee25ea762b56aa736d6fa282161b3"),
     "theta-mixed-chords": (0, "e8f6d046246ce143c8c5498dfe3b6469d3bc8218eb5a7e93f77146bf83d195c1"),
     "theta-mixed-decompose": (0, "2e5c1f4acfc8dcc1227c713721564e9bd3a2fdf95decdddb0f70e3f3de74324f"),

@@ -735,6 +735,54 @@ def test_integer_form_matches_rational_reference(data, maps):
         _assert_same_decision(table, rungs, compare_area(p, q), _ref_plus(rp, rq, -1), True)
 
 
+def _fresh_text(value) -> str:
+    """The text of an equal instance that has never been formatted."""
+    fresh = type(value)._make(value.table, dict(value.num), value.den)
+    return format_scalar(fresh) if isinstance(value, Scalar) else format_area(fresh)
+
+
+@given(data=st.data(), maps=st.lists(_scalar_maps, min_size=1, max_size=3))
+@settings(max_examples=250, deadline=None)
+def test_cached_text_equals_a_fresh_format(data, maps):
+    """Differential: the text kept on an instance equals a fresh format of
+    its value, read before and after the instance is shared: the table's
+    zeros and PI, and the operands that scale and addition return
+    unchanged."""
+    table, _ = _ladder_table(Fraction(5, 2), Fraction(1, 100))
+    zero, no_area = table.zero(), table._zeros[Area]
+    assert zero is table._zeros[Scalar] and table.pi() is table.pi()
+    values = [zero, no_area, table.pi()] + [Scalar(table, m) for m in maps]
+    for _ in range(data.draw(st.integers(1, 8))):
+        a = data.draw(st.sampled_from([v for v in values if isinstance(v, Scalar)]))
+        b = data.draw(st.sampled_from(values))
+        if data.draw(st.booleans()):
+            format_scalar(a)  # some operands are formatted before they are reused
+        op = data.draw(st.sampled_from(["one", "zero", "plus", "minus", "neg", "mul", "scale"]))
+        if op == "one":
+            new = a.scale(1) if data.draw(st.booleans()) else a.scale(3, 3)
+            assert new is a
+        elif op == "zero":
+            pick = data.draw(st.sampled_from(["left", "right", "minus", "sum"]))
+            new = {"left": lambda: zero + a, "right": lambda: a + zero, "minus": lambda: a - zero,
+                   "sum": lambda: sum_terms([zero], a)}[pick]()
+            assert new == a and (pick == "sum" or new is a or new is zero)
+        elif op in ("plus", "minus"):
+            if type(b) is not type(a):
+                continue
+            new = a + b if op == "plus" else a - b
+        elif op == "neg":
+            new = -b
+        elif op == "mul":
+            new = a * a
+        else:
+            new = b.scale(data.draw(_rationals))
+        values.append(new)
+        for v in values:
+            text = format_scalar(v) if isinstance(v, Scalar) else format_area(v)
+            assert text == _fresh_text(v)
+            assert v._text == text
+
+
 def _ref_line(refs):
     """rational_line by its definition on reference maps: the first nonzero
     map scaled to a primitive integer vector whose lowest-index term is
