@@ -15,8 +15,7 @@ internal inconsistency rather than silently picking one path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._rat import Rat
 from .errors import InternalInconsistency
@@ -32,8 +31,7 @@ from .graph import (
 from .scalars import Area, Comparison, Scalar, format_scalar, pi_ratio, sum_terms
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
     """One pass of a closed walk through a vertex."""
 
     index: int
@@ -47,7 +45,8 @@ class ImmersedLoop:
 
     The positions and the total length depend on the step lengths alone, so
     they are walked once per graph for each sequence of step lengths
-    (``graph.walks``), and loops with the same sequence share them.
+    (``graph.walks``), and loops with the same sequence share them.  The
+    branch visits, those at vertices of degree at least 3, are picked once.
     """
 
     def __init__(self, graph: MetricGraph, steps):
@@ -73,9 +72,10 @@ class ImmersedLoop:
             Visit(i, germ_source(g), positions[i], (g, reverse_germ(steps[i - 1])))
             for i, g in enumerate(steps)
         ]
+        self._branch = [v for v in self.visits if graph.degree(v.vertex) >= 3]
 
     def branch_visits(self) -> list[Visit]:
-        return [v for v in self.visits if self.graph.degree(v.vertex) >= 3]
+        return self._branch
 
 
 def loop_from_cycle(graph: MetricGraph, cycle: Cycle) -> ImmersedLoop:
@@ -102,8 +102,7 @@ def bar_loop(graph: MetricGraph, bar: BarTriple) -> ImmersedLoop:
     return ImmersedLoop(graph, steps)
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(NamedTuple):
     """Directed: each qualifying visit pair yields this record and its
     mirror with the geodesic reversed."""
 
@@ -129,15 +128,13 @@ class Chord:
         }
 
 
-def _geodesic_between(graph: MetricGraph, x: str, y: str):
-    """Distance test against pi plus the canonical geodesic: None when the
-    separation is not strictly below pi, else (distance, its PI ratio,
-    geodesic, pi - distance).  The answer is kept on x's shortest-path
-    tree, so each vertex pair is tested, and its ratio decided, once per
-    graph; a tie below pi is never kept and raises on every query."""
-    tree = graph.tree(x)
-    if y in tree.short:
-        return tree.short[y]
+def _geodesic_between(graph: MetricGraph, tree, y: str):
+    """The chord test of x = tree.source and y, kept in ``tree.short``,
+    which callers read first: None when the separation is not strictly
+    below pi, else (distance, its PI ratio, geodesic, pi - distance,
+    reversed geodesic).  Each vertex pair is tested, and its ratio decided,
+    once per graph; a tie below pi is never kept and raises on every
+    query."""
     table = graph.table
     pi = table.pi()
     d0 = tree.dist[y]
@@ -146,43 +143,47 @@ def _geodesic_between(graph: MetricGraph, x: str, y: str):
         hit = None
     elif tree.counts[y] != 1:
         raise InternalInconsistency(
-            f"two geodesics of length below pi join {x} and {y}; "
+            f"two geodesics of length below pi join {tree.source} and {y}; "
             "the girth hypothesis cannot actually hold"
         )
     else:
-        hit = (d0, pi_ratio(d0), tuple(tree.path_to(y)), pi - d0)
+        path = tuple(tree.path_to(y))
+        back = tuple(reverse_germ(g) for g in reversed(path))
+        hit = (d0, pi_ratio(d0), path, pi - d0, back)
     tree.short[y] = hit
     return hit
 
 
 def chords_of_loop(loop: ImmersedLoop) -> list[Chord]:
+    """The chords of the loop, ordered by source visit, then target visit."""
     graph = loop.graph
     starts = loop.branch_visits()
-    for vis in starts:  # every tree first: an undecidable one raises before any test
-        graph.tree(vis.vertex)
-    out: list[Chord] = []
+    # every tree first: an undecidable one raises before any test
+    trees = [graph.tree(vis.vertex) for vis in starts]
+    # per source visit: mirrors arrive first, from earlier outer passes,
+    # then forward chords, so each list is already in target order
+    from_start: list[list[Chord]] = [[] for _ in starts]
     for i, a in enumerate(starts):
-        for b in starts[i + 1:]:
-            if a.vertex == b.vertex:
+        x, tree, out = a.vertex, trees[i], from_start[i]
+        short = tree.short
+        for j in range(i + 1, len(starts)):
+            b = starts[j]
+            y = b.vertex
+            if x == y:
                 continue  # distance zero, never a chord
-            hit = _geodesic_between(graph, a.vertex, b.vertex)
+            hit = short[y] if y in short else _geodesic_between(graph, tree, y)
             if hit is None:
                 continue
-            d0, ratio, path, z = hit
-            if path[0] in a.germs:
-                continue
-            if reverse_germ(path[-1]) in b.germs:
+            d0, ratio, path, z, back = hit
+            if path[0] in a.germs or back[0] in b.germs:
                 continue
             # the escape test is symmetric, so the mirror qualifies too
-            back = tuple(reverse_germ(g) for g in reversed(path))
             out.append(Chord(a, b, d0, ratio, z, path))
-            out.append(Chord(b, a, d0, ratio, z, back))
-    out.sort(key=lambda ch: (ch.s.index, ch.t.index))
-    return out
+            from_start[j].append(Chord(b, a, d0, ratio, z, back))
+    return [ch for chords in from_start for ch in chords]
 
 
-@dataclass(frozen=True)
-class SubgraphChord:
+class SubgraphChord(NamedTuple):
     """Directed, like Chord, but anchored at vertices of a subgraph."""
 
     x: str
@@ -209,20 +210,19 @@ def chords_of_subgraph(graph: MetricGraph, sub: Subgraph) -> list[SubgraphChord]
     """Short geodesics between subgraph vertices leaving the subgraph at
     both ends (first and last geodesic edge outside it)."""
     verts = list(sub.vertices)
-    for v in verts:  # every tree first, as in chords_of_loop
-        graph.tree(v)
+    trees = [graph.tree(v) for v in verts]  # every tree first, as in chords_of_loop
     out: list[SubgraphChord] = []
     for i, x in enumerate(verts):
+        tree = trees[i]
         for y in verts[i + 1:]:
-            hit = _geodesic_between(graph, x, y)
+            hit = tree.short[y] if y in tree.short else _geodesic_between(graph, tree, y)
             if hit is None:
                 continue
-            d0, ratio, path, z = hit
+            d0, ratio, path, z, back = hit
             if path[0][0].id in sub.edge_set:
                 continue
             if path[-1][0].id in sub.edge_set:
                 continue
-            back = tuple(reverse_germ(g) for g in reversed(path))
             out.append(SubgraphChord(x, y, d0, ratio, z, path))
             out.append(SubgraphChord(y, x, d0, ratio, z, back))
     order = {v: i for i, v in enumerate(verts)}

@@ -51,6 +51,7 @@ from .graph import (
     Subgraph,
     bars_of,
     cycles_of,
+    disjoint_pairs,
     girth,
     point_diameter_check,
     segments_of,
@@ -397,7 +398,7 @@ def analyze_cycle_pair(
 ) -> PairAnalysis:
     """Certify a disjoint cycle pair through the torus route; cap bounds
     the translates of its torus form."""
-    if cycle1.vertices & cycle2.vertices:
+    if not disjoint_pairs((cycle1, cycle2)):
         raise ValueError("cycles share vertices; only disjoint pairs have a product claim")
     sub = Subgraph(graph, tuple(sorted(cycle1.edge_ids | cycle2.edge_ids)))
     all_chords = chords_of_subgraph(graph, sub)
@@ -759,18 +760,14 @@ def analyze(
             cycle_out.append(analyze_cycle(graph, c))
 
         stage, subject = "pairs", None
+        pairs = disjoint_pairs(cycles)
         pair_out = []
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                if cycles[i].vertices & cycles[j].vertices:
-                    continue
-                subject = "; ".join(
-                    ", ".join(sorted(c.edge_ids)) for c in (cycles[i], cycles[j])
-                )
-                pair_out.append(analyze_cycle_pair(graph, cycles[i], cycles[j], cycle_cap))
+        for c1, c2 in pairs:
+            subject = "; ".join(", ".join(sorted(c.edge_ids)) for c in (c1, c2))
+            pair_out.append(analyze_cycle_pair(graph, c1, c2, cycle_cap))
 
         stage, subject = "bars", None
-        bars = bars_of(sub, cycles, cap=cycle_cap)
+        bars = bars_of(sub, cap=cycle_cap, pairs=pairs)
         bar_out = []
         for b in bars:
             subject = ", ".join(sorted(b.edge_ids))

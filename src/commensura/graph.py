@@ -180,13 +180,8 @@ class Subgraph:
         self.graph = graph
         self.edge_ids = tuple(dict.fromkeys(edge_ids))
         self.edge_set = frozenset(self.edge_ids)
-        verts = []
-        for eid in self.edge_ids:
-            e = graph.edge_by_id[eid]
-            for w in (e.u, e.v):
-                if w not in verts:
-                    verts.append(w)
-        self.vertices = tuple(sorted(verts, key=graph.vertex_order))
+        ends = (graph.edge_by_id[eid] for eid in self.edge_ids)
+        self.vertices = tuple(sorted({w for e in ends for w in (e.u, e.v)}, key=graph.vertex_order))
 
     def edges(self) -> list[Edge]:
         return [self.graph.edge_by_id[eid] for eid in self.edge_ids]
@@ -198,12 +193,10 @@ class Subgraph:
         return len(self.germs_at(vertex))
 
     def min_degree(self) -> tuple[int, Optional[str]]:
-        best, arg = None, None
-        for v in self.vertices:
-            d = self.degree(v)
-            if best is None or d < best:
-                best, arg = d, v
-        return (best if best is not None else 0), arg
+        if not self.vertices:
+            return 0, None
+        arg = min(self.vertices, key=self.degree)  # the first of least degree
+        return self.degree(arg), arg
 
 
 @dataclass(frozen=True)
@@ -361,37 +354,45 @@ class GirthResult:
 
 
 def girth(graph: MetricGraph) -> GirthResult:
-    """Minimum cycle length: loops, plus len(e) + dist without e.
-
-    Parallel-pair cycles fall out of the second family because the distance
-    in G - e may run through the parallel edge.
+    """Minimum cycle length, from loops and the memoised shortest-path
+    trees (Itai & Rodeh 1978): an edge xy off the tree of r closes a walk
+    of length d(r,x) + len + d(r,y) through it once, which holds a cycle no
+    longer, and a shortest cycle through r attains the value at an edge
+    opposite r.  The witness is the first shortest loop, else the first
+    edge e with len(e) + dist without e at the minimum, with that path.
     """
     table = graph.table
-    best: Optional[Scalar] = None
-    witness: tuple[str, ...] = ()
 
-    def consider(value: Scalar, edges: tuple[str, ...]) -> None:
-        nonlocal best, witness
-        if best is None:
-            best, witness = value, edges
-            return
-        cmp = table.compare(value, best)
+    def less(value: Scalar, than: Scalar) -> bool:
+        cmp = table.compare(value, than)
         if cmp is Comparison.INDETERMINATE:
             raise PrecisionExhausted("girth comparison undecidable")
-        if cmp is Comparison.LESS:
-            best, witness = value, edges
+        return cmp is Comparison.LESS
 
+    best: Optional[Scalar] = None
+    witness: tuple[str, ...] = ()
     for e in graph.edges:
-        if e.is_loop():
-            consider(e.length, (e.id,))
-    for e in graph.edges:
-        if e.is_loop():
-            continue
+        if e.is_loop() and (best is None or less(e.length, best)):
+            best, witness = e.length, (e.id,)
+    links = [e for e in graph.edges if not e.is_loop()]
+    shortest: Optional[Scalar] = None
+    for r in graph.vertices:
+        tree = graph.tree(r)
+        in_tree = {g[0] for g in tree.pred.values()}
+        for e in links:
+            if e.u in tree.dist and e not in in_tree:
+                value = tree.dist[e.u] + e.length + tree.dist[e.v]
+                if shortest is None or less(value, shortest):
+                    shortest = value
+    if shortest is None or (best is not None and not less(shortest, best)):
+        return GirthResult(best, witness)
+    for e in links:
         tree = dijkstra(graph, e.u, skip_edge=e.id)
         if e.v in tree.dist:
-            path = tree.path_to(e.v)
-            consider(e.length + tree.dist[e.v], (e.id,) + tuple(g[0].id for g in path))
-    return GirthResult(best, witness)
+            value = e.length + tree.dist[e.v]
+            if not less(shortest, value):
+                return GirthResult(value, (e.id,) + tuple(g[0].id for g in tree.path_to(e.v)))
+    raise AssertionError("no edge attains the girth of the trees")
 
 
 # ---------------------------------------------------------------------------
@@ -637,20 +638,18 @@ class Cycle:
 
 
 def _canonical_cycle(graph: MetricGraph, germs: list[Germ]) -> Cycle:
-    # rotate so the walk starts at the smallest vertex, then pick the
-    # direction whose first edge id is the smaller of the two at that vertex
-    verts = [germ_source(g) for g in germs]
-    start = min(range(len(verts)), key=lambda i: graph.vertex_order(verts[i]))
-    fwd = germs[start:] + germs[:start]
-    if len(germs) > 1:
-        rev_all = [reverse_germ(g) for g in reversed(germs)]
-        rverts = [germ_source(g) for g in rev_all]
-        rstart = min(range(len(rverts)), key=lambda i: graph.vertex_order(rverts[i]))
-        rev = rev_all[rstart:] + rev_all[:rstart]
-        if rev[0][0].id < fwd[0][0].id:
-            fwd = rev
-    total = sum_terms((g[0].length for g in fwd), graph.table.zero())
-    return Cycle(tuple(fwd), frozenset(g[0].id for g in fwd), total)
+    # the walk starts at the cycle's smallest vertex; pick the direction
+    # whose first edge id is the smaller of the two at that vertex
+    if len(germs) > 1 and germs[-1][0].id < germs[0][0].id:
+        germs = [reverse_germ(g) for g in reversed(germs)]
+    total = sum_terms((g[0].length for g in germs), graph.table.zero())
+    return Cycle(tuple(germs), frozenset(g[0].id for g in germs), total)
+
+
+def _sorted_germs(sub: Subgraph) -> dict:
+    """Each subgraph vertex's germs there, by edge id and end: the order
+    in which the enumerations below take them."""
+    return {v: sorted(sub.germs_at(v), key=lambda g: (g[0].id, g[1])) for v in sub.vertices}
 
 
 def cycles_of(sub: Subgraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]:
@@ -658,21 +657,20 @@ def cycles_of(sub: Subgraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]:
     graph = sub.graph
     found: dict[frozenset, Cycle] = {}
     order = {v: graph.vertex_order(v) for v in sub.vertices}
-
-    def germs_sorted(v: str) -> list[Germ]:
-        return sorted(sub.germs_at(v), key=lambda g: (g[0].id, g[1]))
-
-    for root in sorted(sub.vertices, key=lambda v: order[v]):
+    germs = _sorted_germs(sub)
+    # each root's walks stay on later vertices, so they start at their
+    # cycle's smallest vertex
+    for root in sub.vertices:
         stack: list[tuple[str, list, set, set]] = [(root, [], set(), {root})]
         while stack:
             x, path, used, visited = stack.pop()
-            for g in germs_sorted(x):
+            for g in germs[x]:
                 e = g[0]
                 if e.id in used:
                     continue
                 y = germ_target(g)
                 if y == root:
-                    key = frozenset(eid for eid in used) | {e.id}
+                    key = frozenset(used) | {e.id}
                     if key not in found:
                         found[key] = _canonical_cycle(graph, path + [g])
                         if len(found) > cap:
@@ -680,6 +678,16 @@ def cycles_of(sub: Subgraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]:
                 elif y not in visited and order[y] > order[root]:
                     stack.append((y, path + [g], used | {e.id}, visited | {y}))
     return sorted(found.values(), key=Cycle.sort_key)
+
+
+def disjoint_pairs(cycles: Sequence[Cycle]) -> list[tuple[Cycle, Cycle]]:
+    """Every vertex-disjoint pair (cycles[i], cycles[j]) with i < j, in
+    the order of i, then j: the one disjointness rule."""
+    out = []
+    for i, c1 in enumerate(cycles):
+        clear = c1.vertices.isdisjoint
+        out.extend((c1, c2) for c2 in cycles[i + 1:] if clear(c2.vertices))
+    return out
 
 
 @dataclass(frozen=True)
@@ -705,9 +713,10 @@ def segments_of(sub: Subgraph) -> list[SegmentPath]:
     if mind < 2:
         raise HypothesisViolation(f"vertex {arg} has degree {mind} < 2 in the subgraph")
     branch = {v for v in sub.vertices if sub.degree(v) >= 3}
+    germs = _sorted_germs(sub)
     found: dict[frozenset, SegmentPath] = {}
     for b in sorted(branch, key=graph.vertex_order):
-        for g0 in sorted(sub.germs_at(b), key=lambda g: (g[0].id, g[1])):
+        for g0 in germs[b]:
             steps = [g0]
             cur = germ_target(g0)
             arrived = g0
@@ -757,42 +766,46 @@ def bars_of(
     sub: Subgraph,
     cycles: Optional[list[Cycle]] = None,
     cap: int = DEFAULT_CYCLE_CAP,
+    pairs: Optional[list[tuple[Cycle, Cycle]]] = None,
 ) -> list[BarTriple]:
+    """Every bar of each disjoint cycle pair; ``pairs`` defaults to
+    ``disjoint_pairs(cycles)``, and ``cycles`` to the subgraph's cycles."""
     graph = sub.graph
-    if cycles is None:
-        cycles = cycles_of(sub, cap=cap)
+    if pairs is None:
+        pairs = disjoint_pairs(cycles_of(sub, cap=cap) if cycles is None else cycles)
+    germs = _sorted_germs(sub)
+    zero = graph.table.zero()
     bars: list[BarTriple] = []
-    for i, c1 in enumerate(cycles):
-        for c2 in cycles[i + 1:]:
-            if c1.vertices & c2.vertices:
-                continue
-            banned_edges = c1.edge_ids | c2.edge_ids
-            banned_verts = c1.vertices | c2.vertices
-            targets = c2.vertices
-            for u in sorted(c1.vertices, key=graph.vertex_order):
-                stack: list[tuple[str, list, set]] = [(u, [], {u})]
-                while stack:
-                    x, path, visited = stack.pop()
-                    for g in sorted(sub.germs_at(x), key=lambda g: (g[0].id, g[1])):
-                        e = g[0]
-                        if e.id in banned_edges or any(s[0].id == e.id for s in path):
-                            continue
-                        y = germ_target(g)
-                        if y in targets:
-                            steps = path + [g]
-                            bars.append(
-                                BarTriple(
-                                    tuple(steps),
-                                    frozenset(s[0].id for s in steps),
-                                    sum_terms((s[0].length for s in steps), graph.table.zero()),
-                                    c1,
-                                    c2,
-                                )
+    for c1, c2 in pairs:
+        banned_edges = c1.edge_ids | c2.edge_ids
+        banned_verts = c1.vertices | c2.vertices
+        targets = c2.vertices
+        for u in sorted(c1.vertices, key=graph.vertex_order):
+            stack: list[tuple[str, list, set]] = [(u, [], {u})]
+            while stack:
+                x, path, visited = stack.pop()
+                # an edge of the path leads back into visited, so it needs
+                # no test of its own
+                for g in germs[x]:
+                    e = g[0]
+                    if e.id in banned_edges:
+                        continue
+                    y = germ_target(g)
+                    if y in targets:
+                        steps = path + [g]
+                        bars.append(
+                            BarTriple(
+                                tuple(steps),
+                                frozenset(s[0].id for s in steps),
+                                sum_terms((s[0].length for s in steps), zero),
+                                c1,
+                                c2,
                             )
-                            if len(bars) > cap:
-                                raise EnumerationCapExceeded(cap)
-                        elif y not in banned_verts and y not in visited:
-                            stack.append((y, path + [g], visited | {y}))
+                        )
+                        if len(bars) > cap:
+                            raise EnumerationCapExceeded(cap)
+                    elif y not in banned_verts and y not in visited:
+                        stack.append((y, path + [g], visited | {y}))
     bars.sort(key=BarTriple.sort_key)
     return bars
 
@@ -814,6 +827,7 @@ def parse_graph(text: str, precision_bits: int | None = None) -> MetricGraph:
 
     table = SymbolTable(precision_bits or DEFAULT_PRECISION_BITS)
     graph = MetricGraph(table)
+    lengths: dict[Scalar, Scalar] = {}  # one instance per distinct edge length
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -830,8 +844,8 @@ def parse_graph(text: str, precision_bits: int | None = None) -> MetricGraph:
             elif kind == "edge":
                 if len(parts) < 5:
                     raise ValueError("expected 'edge NAME V1 V2 <scalar>'")
-                literal = line.split(None, 4)[4]
-                graph.add_edge(parts[1], parts[2], parts[3], parse_scalar(table, literal))
+                length = parse_scalar(table, line.split(None, 4)[4])
+                graph.add_edge(parts[1], parts[2], parts[3], lengths.setdefault(length, length))
             elif kind == "subgraph":
                 if len(parts) < 3:
                     raise ValueError("expected 'subgraph NAME E1 ...'")

@@ -37,8 +37,8 @@ the one line a list of values lies on (``rational_line``).
 
 Instances are immutable after construction.  The only internal mutations
 are caches: a monotone enclosure cache, which only ever shrinks intervals,
-and each instance's hashable key and formatted text, each written once from
-its value, so concurrent readers stay sound.
+and each instance's hashable key, hash and formatted text, each written once
+from its value, so concurrent readers stay sound.
 """
 
 from __future__ import annotations
@@ -455,10 +455,10 @@ def sum_terms(items: Iterable, start):
 class _Combination:
     """Immutable combination of basis keys with rational coefficients, kept
     as integer numerators ``num`` over one denominator ``den`` in the
-    canonical form of the module docstring.  The hashable key and the
-    formatted text are kept on the instance once computed."""
+    canonical form of the module docstring.  The hashable key, its hash
+    and the formatted text are kept on the instance once computed."""
 
-    __slots__ = ("table", "num", "den", "_key", "_text")
+    __slots__ = ("table", "num", "den", "_key", "_hash", "_text")
 
     def __init__(self, table: SymbolTable, coeffs: dict):
         """From a map key -> rational; zero coefficients are dropped."""
@@ -468,6 +468,7 @@ class _Combination:
         self.num = {k: p * (den // q) for k, (p, q) in terms}
         self.den = den
         self._key = None
+        self._hash = None
         self._text = None
 
     @classmethod
@@ -478,6 +479,7 @@ class _Combination:
         obj.num = num
         obj.den = den
         obj._key = None
+        obj._hash = None
         obj._text = None
         return obj
 
@@ -556,12 +558,17 @@ class _Combination:
         return self._make(self.table, num, self.den // g * (q // h))
 
     def __eq__(self, other) -> bool:
+        if self is other:  # shared instances: edge lengths, zeros, PI
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self.table is other.table and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((id(self.table), self.key()))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((id(self.table), self.key()))
+        return h
 
 
 class Scalar(_Combination):
@@ -714,12 +721,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             if not rest:
                 break
             raise ValueError(f"bad scalar literal near {rest[:20]!r}")
-        if m.group("rat"):
-            tokens.append(("rat", m.group("rat").replace(" ", "")))
-        elif m.group("sym"):
-            tokens.append(("sym", m.group("sym")))
-        else:
-            tokens.append(("op", m.group("op")))
+        kind = m.lastgroup  # exactly one named group matches
+        val = m.group(kind)
+        tokens.append((kind, val.replace(" ", "") if kind == "rat" else val))
         pos = m.end()
     return tokens
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import types
@@ -990,12 +989,12 @@ def _shape_variants(loop, chords):
         lengths=loop.lengths[:-1] + (loop.lengths[-1] + table.rational(1),),
         branch_visits=loop.branch_visits,
     )
-    moved = dataclasses.replace(visits[0], index=visits[0].index + len(loop.visits))
+    moved = visits[0]._replace(index=visits[0].index + len(loop.visits))
     branched = types.SimpleNamespace(lengths=loop.lengths, branch_visits=lambda: [moved] + visits[1:])
     first = chords[0]
-    wider = [dataclasses.replace(first, z=first.z + table.pi(Rat(1, 12)))] + chords[1:]
+    wider = [first._replace(z=first.z + table.pi(Rat(1, 12)))] + chords[1:]
     other = next(v for v in loop.visits if v.index not in (first.s.index, first.t.index))
-    shifted = [dataclasses.replace(first, t=other)] + chords[1:]
+    shifted = [first._replace(t=other)] + chords[1:]
     return [(longer, chords), (branched, chords), (loop, wider), (loop, shifted)]
 
 
@@ -1103,3 +1102,55 @@ def test_heawood_analyze_formats_each_scalar_once():
         a.as_report()
     assert 0 < scalar_text.call_count <= 1200
     assert 0 < area_text.call_count <= 200
+
+
+def test_heawood_analyze_runs_fifteen_dijkstras_and_one_pair_scan():
+    """Work-count guard: the girth reads the 14 memoised trees and runs one
+    skip-edge search for its witness (35 Dijkstra runs when every edge had
+    its own search), and the cycle list is scanned for disjoint pairs once
+    for the pair and bar stages together (each pair's own check passes the
+    two cycles alone)."""
+    from commensura import graph as graph_mod
+
+    runs = mock.Mock(wraps=graph_mod.dijkstra)
+    scans = mock.Mock(wraps=graph_mod.disjoint_pairs)
+    with mock.patch.object(graph_mod, "dijkstra", runs), mock.patch.object(
+        graph_mod, "disjoint_pairs", scans
+    ), mock.patch.object(engine_mod, "disjoint_pairs", scans):
+        a = analyze(build("heawood"))
+    assert a.conformant and len(a.pairs) == 42
+    assert runs.call_count == 15
+    assert [len(call.args[0]) for call in scans.call_args_list if len(call.args[0]) != 2] == [213]
+
+
+def test_chords_of_loop_fetches_one_tree_per_branch_visit():
+    """Work-count guard: each start visit's tree, and its memo of chord
+    tests, is fetched once, on a cold graph as on a warm one (58,674 tree
+    fetches for Heawood's 549 loops when every visit pair fetched its
+    own)."""
+    g = build("heawood")
+    sub = g.whole()
+    cycles = cycles_of(sub)
+    loops = [loop_from_cycle(g, c) for c in cycles] + [bar_loop(g, b) for b in bars_of(sub, cycles)]
+    fetch = MetricGraph.tree
+    for _ in range(2):
+        with mock.patch.object(MetricGraph, "tree", autospec=True, side_effect=fetch) as tree:
+            for loop in loops:
+                before = tree.call_count
+                chords_of_loop(loop)
+                assert tree.call_count - before == len(loop.branch_visits())
+
+
+def test_heawood_edges_share_one_length_and_fresh_lengths_report_the_same():
+    """parse_graph keeps one Scalar per distinct edge length; a graph whose
+    every edge has its own equal instance analyzes to the same report."""
+    text = generate("heawood")
+    parsed = parse_graph(text)
+    assert len(parsed.edges) == 21 and len({id(e.length) for e in parsed.edges}) == 1
+    fresh = MetricGraph(SymbolTable())
+    for v in parsed.vertices:
+        fresh.add_vertex(v)
+    for e in parsed.edges:
+        fresh.add_edge(e.id, e.u, e.v, fresh.table.pi(Rat(1, 3)))
+    assert len({id(e.length) for e in fresh.edges}) == 21
+    assert analyze(fresh).as_report() == analyze(parsed).as_report()

@@ -20,6 +20,7 @@ from commensura.errors import (
     GraphFormatError,
     HypothesisViolation,
     NonpositiveLength,
+    PrecisionExhausted,
 )
 from commensura.generators import build as generate_graph
 from commensura.graph import (
@@ -29,6 +30,7 @@ from commensura.graph import (
     bars_of,
     cycles_of,
     dijkstra,
+    disjoint_pairs,
     girth,
     parse_graph,
     point_diameter_check,
@@ -775,3 +777,279 @@ def test_point_normalization_and_vertex_detection():
     assert PointOnGraph.make(g, "e", g.table.zero()).as_vertex(g) == "a"
     assert PointOnGraph.make(g, "e", g.table.rational(4)).as_vertex(g) == "b"
     assert PointOnGraph.make(g, "e", g.table.rational(2)).as_vertex(g) is None
+
+
+# ---------------------------------------------------------------------------
+# differentials: the straightforward enumerations and skip-edge girth
+# ---------------------------------------------------------------------------
+#
+# The references below re-sort a vertex's germs on every stack pop, test
+# disjointness by building the vertex intersection, rotate and orient each
+# found cycle from scratch, and find the girth with one skip-edge Dijkstra
+# per edge.  The package must give the same objects in the same order.
+
+
+def _germ_key(g):
+    return (g[0].id, g[1])
+
+
+def ref_cycles_of(sub):
+    from commensura.graph import Cycle, germ_source, germ_target, reverse_germ, sum_terms
+
+    graph = sub.graph
+
+    def canonical(germs):
+        verts = [germ_source(g) for g in germs]
+        start = min(range(len(verts)), key=lambda i: graph.vertex_order(verts[i]))
+        fwd = germs[start:] + germs[:start]
+        if len(germs) > 1:
+            rev_all = [reverse_germ(g) for g in reversed(germs)]
+            rverts = [germ_source(g) for g in rev_all]
+            rstart = min(range(len(rverts)), key=lambda i: graph.vertex_order(rverts[i]))
+            rev = rev_all[rstart:] + rev_all[:rstart]
+            if rev[0][0].id < fwd[0][0].id:
+                fwd = rev
+        total = sum_terms((g[0].length for g in fwd), graph.table.zero())
+        return Cycle(tuple(fwd), frozenset(g[0].id for g in fwd), total)
+
+    found = {}
+    order = {v: graph.vertex_order(v) for v in sub.vertices}
+    for root in sorted(sub.vertices, key=lambda v: order[v]):
+        stack = [(root, [], set(), {root})]
+        while stack:
+            x, path, used, visited = stack.pop()
+            for g in sorted(sub.germs_at(x), key=_germ_key):
+                if g[0].id in used:
+                    continue
+                y = germ_target(g)
+                if y == root:
+                    key = frozenset(used) | {g[0].id}
+                    if key not in found:
+                        found[key] = canonical(path + [g])
+                elif y not in visited and order[y] > order[root]:
+                    stack.append((y, path + [g], used | {g[0].id}, visited | {y}))
+    return sorted(found.values(), key=lambda c: c.sort_key())
+
+
+def ref_disjoint_pairs(cycles):
+    return [
+        (c1, c2)
+        for i, c1 in enumerate(cycles)
+        for c2 in cycles[i + 1:]
+        if not c1.vertices & c2.vertices
+    ]
+
+
+def ref_bars_of(sub, cycles):
+    from commensura.graph import BarTriple, germ_target, sum_terms
+
+    graph = sub.graph
+    bars = []
+    for c1, c2 in ref_disjoint_pairs(cycles):
+        banned_edges = c1.edge_ids | c2.edge_ids
+        banned_verts = c1.vertices | c2.vertices
+        for u in sorted(c1.vertices, key=graph.vertex_order):
+            stack = [(u, [], {u})]
+            while stack:
+                x, path, visited = stack.pop()
+                for g in sorted(sub.germs_at(x), key=_germ_key):
+                    e = g[0]
+                    if e.id in banned_edges or any(s[0].id == e.id for s in path):
+                        continue
+                    y = germ_target(g)
+                    if y in c2.vertices:
+                        steps = path + [g]
+                        total = sum_terms((s[0].length for s in steps), graph.table.zero())
+                        bars.append(BarTriple(tuple(steps), frozenset(s[0].id for s in steps), total, c1, c2))
+                    elif y not in banned_verts and y not in visited:
+                        stack.append((y, path + [g], visited | {y}))
+    bars.sort(key=lambda b: b.sort_key())
+    return bars
+
+
+def ref_segments_of(sub):
+    from commensura.graph import SegmentPath, germ_source, germ_target, reverse_germ, sum_terms
+
+    graph = sub.graph
+    mind, arg = sub.min_degree()
+    if mind < 2:
+        raise HypothesisViolation(f"vertex {arg} has degree {mind} < 2 in the subgraph")
+    branch = {v for v in sub.vertices if sub.degree(v) >= 3}
+    found = {}
+    for b in sorted(branch, key=graph.vertex_order):
+        for g0 in sorted(sub.germs_at(b), key=_germ_key):
+            steps, cur, arrived = [g0], germ_target(g0), g0
+            while cur not in branch:
+                arrived = [g for g in sub.germs_at(cur) if g != reverse_germ(arrived)][0]
+                steps.append(arrived)
+                cur = germ_target(arrived)
+            key = frozenset(g[0].id for g in steps)
+            if cur == b or key in found:
+                continue
+            if graph.vertex_order(germ_source(steps[0])) > graph.vertex_order(cur):
+                steps = [reverse_germ(g) for g in reversed(steps)]
+            total = sum_terms((g[0].length for g in steps), graph.table.zero())
+            found[key] = SegmentPath(tuple(steps), key, total)
+    return sorted(found.values(), key=lambda s: s.sort_key())
+
+
+def ref_girth(graph):
+    from commensura.graph import GirthResult
+
+    table = graph.table
+    best, witness = None, ()
+
+    def consider(value, edges):
+        nonlocal best, witness
+        if best is None:
+            best, witness = value, edges
+            return
+        cmp = table.compare(value, best)
+        if cmp is Comparison.INDETERMINATE:
+            raise PrecisionExhausted("girth comparison undecidable")
+        if cmp is Comparison.LESS:
+            best, witness = value, edges
+
+    for e in graph.edges:
+        if e.is_loop():
+            consider(e.length, (e.id,))
+    for e in graph.edges:
+        if not e.is_loop():
+            tree = dijkstra(graph, e.u, skip_edge=e.id)
+            if e.v in tree.dist:
+                path = tree.path_to(e.v)
+                consider(e.length + tree.dist[e.v], (e.id,) + tuple(g[0].id for g in path))
+    return GirthResult(best, witness)
+
+
+def _facts(items):
+    """Every field the reports read, in order: steps with edge ids and
+    ends, edge-id sets and exact lengths."""
+    return [
+        ([(g[0].id, g[1]) for g in x.steps], x.edge_ids, x.length.key())
+        for x in items
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisViolation as exc:
+        return ("raises", str(exc))
+
+
+def assert_enumerations_match(g):
+    sub = g.whole()
+    cycles = cycles_of(sub)
+    ref_cycles = ref_cycles_of(sub)
+    assert cycles == ref_cycles and _facts(cycles) == _facts(ref_cycles)
+    pairs = disjoint_pairs(cycles)
+    assert pairs == ref_disjoint_pairs(ref_cycles)
+    bars = bars_of(sub)
+    ref_bars = ref_bars_of(sub, ref_cycles)
+    assert bars == ref_bars and _facts(bars) == _facts(ref_bars)
+    assert bars_of(sub, cycles) == bars_of(sub, pairs=pairs) == bars
+    assert [(b.cycle1, b.cycle2) for b in bars] == [(b.cycle1, b.cycle2) for b in ref_bars]
+    segments = _outcome(segments_of, sub)
+    ref_segments = _outcome(ref_segments_of, sub)
+    assert segments == ref_segments
+    if isinstance(segments, list):
+        assert _facts(segments) == _facts(ref_segments)
+
+
+def _two_thetas():
+    mixed = "vertex u\nvertex v\nedge s0 u v 1\nedge s1 u v PI - 1\nedge s2 u v PI - 1\n"
+    return {"theta": generate_graph("theta", length="PI"), "theta-mixed": parse_graph(mixed)}
+
+
+def _k44():
+    lines = [f"vertex {p}{i}" for p in "ux" for i in range(1, 5)]
+    lines += [f"edge e{4 * i + j} u{i + 1} x{j + 1} 1/2*PI" for i in range(4) for j in range(4)]
+    return parse_graph("\n".join(lines) + "\n")
+
+
+ENUMERATION_GRAPHS = {
+    "heawood": lambda: generate_graph("heawood"),
+    "k44": _k44,
+    "theta": lambda: _two_thetas()["theta"],
+    "theta-mixed": lambda: _two_thetas()["theta-mixed"],
+    "dumbbell": lambda: generate_graph("dumbbell"),
+    "heawood-perturbed": lambda: generate_graph("perturb", base="heawood", edge="e0", delta="1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_GRAPHS))
+def test_enumerations_match_the_references(name):
+    assert_enumerations_match(ENUMERATION_GRAPHS[name]())
+
+
+@st.composite
+def lattice_graph(draw):
+    """Small connected multigraphs with loops and parallel edges allowed,
+    their lengths on the PI lattice or mixing 1 and PI."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    mixed = draw(st.booleans())
+    verts = [f"v{i}" for i in range(n)]
+
+    def length():
+        coeffs = {1: Fraction(draw(st.integers(min_value=1, max_value=12)), 6)}
+        if mixed and draw(st.booleans()):
+            # as low as PI/6 - 1/2, still positive
+            coeffs[0] = Fraction(draw(st.integers(min_value=-2, max_value=6)), 4)
+        return coeffs
+
+    edges = [(f"c{i}", verts[i], verts[i + 1], length()) for i in range(n - 1)]
+    for k in range(draw(st.integers(min_value=0 if n > 1 else 1, max_value=6))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        edges.append((f"x{k}", verts[i], verts[j], length()))
+    return edges
+
+
+@given(lattice_graph())
+@settings(max_examples=80, deadline=None)
+def test_enumerations_match_the_references_on_multigraphs(edge_list):
+    assert_enumerations_match(build(edge_list))
+
+
+def assert_girth_matches(g):
+    got, want = girth(g), ref_girth(g)
+    assert got.witness_edges == want.witness_edges
+    if want.value is None:
+        assert got.value is None
+    else:
+        assert got.value.key() == want.value.key()
+
+
+GIRTH_GRAPHS = {
+    "loops": lambda: build(
+        [("l1", "a", "a", {0: 3}), ("e", "a", "b", {0: 1}), ("l2", "b", "b", {0: 2}),
+         ("f", "a", "b", {0: 1})]
+    ),
+    "loop-ties-a-cycle": lambda: build(
+        [("e", "a", "b", {0: 1}), ("f", "a", "b", {0: 1}), ("l", "b", "b", {0: 2})]
+    ),
+    "parallel": lambda: build(
+        [("x", "a", "b", {0: 3}), ("y", "a", "b", {0: 1}), ("z", "a", "b", {0: 2})]
+    ),
+    "several-shortest": lambda: build(
+        [("a", "p", "q", {0: 1}), ("b", "q", "r", {0: 1}), ("c", "r", "s", {0: 1}),
+         ("d", "s", "p", {0: 1}), ("m", "p", "r", {0: 2}), ("n", "q", "s", {0: 2})]
+    ),
+    "acyclic": lambda: build([("e", "a", "b", {0: 1}), ("f", "b", "c", {0: 1})]),
+    "heawood": lambda: generate_graph("heawood"),
+    "heawood-longer": lambda: generate_graph("perturb", base="heawood", edge="e0", delta="1"),
+    "heawood-shorter": lambda: generate_graph("perturb", base="heawood", edge="e0", delta="-1/10"),
+    "pg3": lambda: generate_graph("incidence_pg", q="3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIRTH_GRAPHS))
+def test_girth_matches_the_skip_edge_reference(name):
+    assert_girth_matches(GIRTH_GRAPHS[name]())
+
+
+@given(lattice_graph())
+@settings(max_examples=100, deadline=None)
+def test_girth_matches_the_skip_edge_reference_on_multigraphs(edge_list):
+    assert_girth_matches(build(edge_list))

@@ -922,3 +922,75 @@ def test_shared_instances_and_no_op_arithmetic(table):
     area = s * s
     assert area.scale(1) is area and area + area.scale(0) is area
     assert (s - s) is table.zero()
+
+
+# ---------------------------------------------------------------------------
+# cached hash and the tokenizer
+# ---------------------------------------------------------------------------
+
+
+@given(a=st.tuples(_fracs, _fracs), b=st.tuples(_fracs, _fracs), k=_fracs)
+@settings(max_examples=80, deadline=None)
+def test_cached_hash_is_the_hash_of_the_key(a, b, k):
+    """Every construction route stores the hash its value's key gives,
+    and equal values hash alike whatever instance holds them."""
+    table = SymbolTable()
+    sa, sb = _scalar(table, a), _scalar(table, b)
+    made = Scalar._make(table, dict(sa.num), sa.den)
+    values = [
+        sa,
+        made,
+        Scalar._reduced(table, {i: c * 3 for i, c in sa.num.items()}, sa.den * 3),
+        sa.scale(Rat(k)),
+        sa - sa,
+        sa * sb,
+        (sa * sb).scale(Rat(k)),
+        table.zero(),
+        table._zeros[Area],
+        table.pi(),
+        Scalar(table, {0: Rat(a[0]), 1: Rat(a[1])}),
+    ]
+    for v in values:
+        want = hash((id(table), v.key()))
+        assert hash(v) == want and hash(v) == want  # the second read is the cached one
+    assert made == sa and hash(made) == hash(sa)
+    assert sa == sa and {sa: 1}[made] == 1
+
+
+def _reference_tokenize(text):
+    """The tokenizer that asked each named group in turn."""
+    from commensura.scalars import _TOKEN_RE
+
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise ValueError(f"bad scalar literal near {rest[:20]!r}")
+        if m.group("rat"):
+            tokens.append(("rat", m.group("rat").replace(" ", "")))
+        elif m.group("sym"):
+            tokens.append(("sym", m.group("sym")))
+        else:
+            tokens.append(("op", m.group("op")))
+        pos = m.end()
+    return tokens
+
+
+@given(st.text(alphabet="0123456789/ +-*PIhx_\t&.", max_size=30))
+@settings(max_examples=300, deadline=None)
+@example("3 / 4*PI - 2 + h")
+@example("-1/2 - -3 * x_1 ")
+def test_tokenize_matches_the_group_by_group_reference(text):
+    from commensura.scalars import _tokenize
+
+    try:
+        want = _reference_tokenize(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _tokenize(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert _tokenize(text) == want
