@@ -15,6 +15,7 @@ internal inconsistency rather than silently picking one path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ._rat import Rat
@@ -102,7 +103,8 @@ def bar_loop(graph: MetricGraph, bar: BarTriple) -> ImmersedLoop:
     return ImmersedLoop(graph, steps)
 
 
-class Chord(NamedTuple):
+@dataclass(frozen=True)
+class Chord:
     """Directed: each qualifying visit pair yields this record and its
     mirror with the geodesic reversed."""
 
@@ -183,7 +185,8 @@ def chords_of_loop(loop: ImmersedLoop) -> list[Chord]:
     return [ch for chords in from_start for ch in chords]
 
 
-class SubgraphChord(NamedTuple):
+@dataclass(frozen=True)
+class SubgraphChord:
     """Directed, like Chord, but anchored at vertices of a subgraph."""
 
     x: str

@@ -42,7 +42,6 @@ from .graph import (
     MetricGraph,
     Subgraph,
     cycles_of,
-    disjoint_pairs,
     parse_graph,
     segments_of,
 )
@@ -432,7 +431,7 @@ def _cmd_tile(args) -> int:
     else:
         c1 = _find_cycle(graph, args.pair[0], args.cycle_cap)
         c2 = _find_cycle(graph, args.pair[1], args.cycle_cap)
-        if not disjoint_pairs((c1, c2)):
+        if not c1.vertices.isdisjoint(c2.vertices):
             raise UsageError("the two cycles are not disjoint")
         union = Subgraph(graph, tuple(sorted(c1.edge_ids | c2.edge_ids)))
         product = product_tiling(graph, c1, c2, chords_of_subgraph(graph, union))

@@ -398,7 +398,7 @@ def analyze_cycle_pair(
 ) -> PairAnalysis:
     """Certify a disjoint cycle pair through the torus route; cap bounds
     the translates of its torus form."""
-    if not disjoint_pairs((cycle1, cycle2)):
+    if not cycle1.vertices.isdisjoint(cycle2.vertices):
         raise ValueError("cycles share vertices; only disjoint pairs have a product claim")
     sub = Subgraph(graph, tuple(sorted(cycle1.edge_ids | cycle2.edge_ids)))
     all_chords = chords_of_subgraph(graph, sub)
@@ -767,7 +767,7 @@ def analyze(
             pair_out.append(analyze_cycle_pair(graph, c1, c2, cycle_cap))
 
         stage, subject = "bars", None
-        bars = bars_of(sub, cap=cycle_cap, pairs=pairs)
+        bars = bars_of(sub, pairs, cap=cycle_cap)
         bar_out = []
         for b in bars:
             subject = ", ".join(sorted(b.edge_ids))

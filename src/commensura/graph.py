@@ -180,8 +180,13 @@ class Subgraph:
         self.graph = graph
         self.edge_ids = tuple(dict.fromkeys(edge_ids))
         self.edge_set = frozenset(self.edge_ids)
-        ends = (graph.edge_by_id[eid] for eid in self.edge_ids)
-        self.vertices = tuple(sorted({w for e in ends for w in (e.u, e.v)}, key=graph.vertex_order))
+        verts = []
+        for eid in self.edge_ids:
+            e = graph.edge_by_id[eid]
+            for w in (e.u, e.v):
+                if w not in verts:
+                    verts.append(w)
+        self.vertices = tuple(sorted(verts, key=graph.vertex_order))
 
     def edges(self) -> list[Edge]:
         return [self.graph.edge_by_id[eid] for eid in self.edge_ids]
@@ -193,10 +198,12 @@ class Subgraph:
         return len(self.germs_at(vertex))
 
     def min_degree(self) -> tuple[int, Optional[str]]:
-        if not self.vertices:
-            return 0, None
-        arg = min(self.vertices, key=self.degree)  # the first of least degree
-        return self.degree(arg), arg
+        best, arg = None, None
+        for v in self.vertices:
+            d = self.degree(v)
+            if best is None or d < best:
+                best, arg = d, v
+        return (best if best is not None else 0), arg
 
 
 @dataclass(frozen=True)
@@ -354,45 +361,37 @@ class GirthResult:
 
 
 def girth(graph: MetricGraph) -> GirthResult:
-    """Minimum cycle length, from loops and the memoised shortest-path
-    trees (Itai & Rodeh 1978): an edge xy off the tree of r closes a walk
-    of length d(r,x) + len + d(r,y) through it once, which holds a cycle no
-    longer, and a shortest cycle through r attains the value at an edge
-    opposite r.  The witness is the first shortest loop, else the first
-    edge e with len(e) + dist without e at the minimum, with that path.
+    """Minimum cycle length: loops, plus len(e) + dist without e.
+
+    Parallel-pair cycles fall out of the second family because the distance
+    in G - e may run through the parallel edge.
     """
     table = graph.table
-
-    def less(value: Scalar, than: Scalar) -> bool:
-        cmp = table.compare(value, than)
-        if cmp is Comparison.INDETERMINATE:
-            raise PrecisionExhausted("girth comparison undecidable")
-        return cmp is Comparison.LESS
-
     best: Optional[Scalar] = None
     witness: tuple[str, ...] = ()
+
+    def consider(value: Scalar, edges: tuple[str, ...]) -> None:
+        nonlocal best, witness
+        if best is None:
+            best, witness = value, edges
+            return
+        cmp = table.compare(value, best)
+        if cmp is Comparison.INDETERMINATE:
+            raise PrecisionExhausted("girth comparison undecidable")
+        if cmp is Comparison.LESS:
+            best, witness = value, edges
+
     for e in graph.edges:
-        if e.is_loop() and (best is None or less(e.length, best)):
-            best, witness = e.length, (e.id,)
-    links = [e for e in graph.edges if not e.is_loop()]
-    shortest: Optional[Scalar] = None
-    for r in graph.vertices:
-        tree = graph.tree(r)
-        in_tree = {g[0] for g in tree.pred.values()}
-        for e in links:
-            if e.u in tree.dist and e not in in_tree:
-                value = tree.dist[e.u] + e.length + tree.dist[e.v]
-                if shortest is None or less(value, shortest):
-                    shortest = value
-    if shortest is None or (best is not None and not less(shortest, best)):
-        return GirthResult(best, witness)
-    for e in links:
+        if e.is_loop():
+            consider(e.length, (e.id,))
+    for e in graph.edges:
+        if e.is_loop():
+            continue
         tree = dijkstra(graph, e.u, skip_edge=e.id)
         if e.v in tree.dist:
-            value = e.length + tree.dist[e.v]
-            if not less(shortest, value):
-                return GirthResult(value, (e.id,) + tuple(g[0].id for g in tree.path_to(e.v)))
-    raise AssertionError("no edge attains the girth of the trees")
+            path = tree.path_to(e.v)
+            consider(e.length + tree.dist[e.v], (e.id,) + tuple(g[0].id for g in path))
+    return GirthResult(best, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -764,15 +763,14 @@ class BarTriple:
 
 def bars_of(
     sub: Subgraph,
-    cycles: Optional[list[Cycle]] = None,
-    cap: int = DEFAULT_CYCLE_CAP,
     pairs: Optional[list[tuple[Cycle, Cycle]]] = None,
+    cap: int = DEFAULT_CYCLE_CAP,
 ) -> list[BarTriple]:
-    """Every bar of each disjoint cycle pair; ``pairs`` defaults to
-    ``disjoint_pairs(cycles)``, and ``cycles`` to the subgraph's cycles."""
+    """Every bar of each disjoint cycle pair; ``pairs`` defaults to the
+    disjoint pairs of the subgraph's cycles."""
     graph = sub.graph
     if pairs is None:
-        pairs = disjoint_pairs(cycles_of(sub, cap=cap) if cycles is None else cycles)
+        pairs = disjoint_pairs(cycles_of(sub, cap=cap))
     germs = _sorted_germs(sub)
     zero = graph.table.zero()
     bars: list[BarTriple] = []

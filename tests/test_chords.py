@@ -23,7 +23,7 @@ from commensura.chords import (
 )
 from commensura.errors import InternalInconsistency
 from commensura.generators import generate
-from commensura.graph import Subgraph, bars_of, cycles_of, girth, parse_graph
+from commensura.graph import Subgraph, bars_of, cycles_of, disjoint_pairs, girth, parse_graph
 from commensura.scalars import Comparison, Scalar
 from commensura.tilings import annulus_tiling
 
@@ -278,7 +278,7 @@ def _query_pool(name):
     sub = g.whole()
     cycles = cycles_of(sub)
     loops = [loop_from_cycle(g, c) for c in cycles]
-    loops += [bar_loop(g, b) for b in bars_of(sub, cycles)]
+    loops += [bar_loop(g, b) for b in bars_of(sub, disjoint_pairs(cycles))]
     pool = [("loop", tuple((e.id, end) for e, end in lp.steps)) for lp in loops]
     pool += [("sub", tuple(sorted(c.edge_ids))) for c in cycles]
     pool += [

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import types
@@ -42,6 +43,7 @@ from commensura.graph import (
     Subgraph,
     bars_of,
     cycles_of,
+    disjoint_pairs,
     parse_graph,
     segments_of,
 )
@@ -785,7 +787,8 @@ def test_chord_ratio_is_the_direct_pi_ratio(name):
     g = parse_graph(CHORD_RATIO_GRAPHS[name])
     sub = g.whole()
     cycles = cycles_of(sub)
-    loops = [loop_from_cycle(g, c) for c in cycles] + [bar_loop(g, b) for b in bars_of(sub, cycles)]
+    bars = bars_of(sub, disjoint_pairs(cycles))
+    loops = [loop_from_cycle(g, c) for c in cycles] + [bar_loop(g, b) for b in bars]
     subs = [Subgraph(g, tuple(sorted(c.edge_ids))) for c in cycles] + [sub]
     subs += [
         Subgraph(g, tuple(sorted(c1.edge_ids | c2.edge_ids)))
@@ -815,7 +818,8 @@ def _object_reports(text, fresh_each):
     g = parse_graph(text)
     cycles = cycles_of(g.whole())
     out = []
-    for analyze_one, objects in ((analyze_cycle, cycles), (analyze_bar, bars_of(g.whole(), cycles))):
+    bars = bars_of(g.whole(), disjoint_pairs(cycles))
+    for analyze_one, objects in ((analyze_cycle, cycles), (analyze_bar, bars)):
         for obj in objects:
             if fresh_each:
                 for memo in (g.certificates, g.shapes, g.walks):
@@ -890,7 +894,7 @@ def heawood_bar():
     """A fresh Heawood graph, with no certificates, its first bar, and the
     same bar analysed on a copy."""
     g, copy = build("heawood"), build("heawood")
-    first_bar = [bars_of(h.whole(), cycles_of(h.whole()))[0] for h in (g, copy)]
+    first_bar = [bars_of(h.whole(), disjoint_pairs(cycles_of(h.whole())))[0] for h in (g, copy)]
     return g, first_bar[0], analyze_bar(copy, first_bar[1])
 
 
@@ -992,9 +996,9 @@ def _shape_variants(loop, chords):
     moved = visits[0]._replace(index=visits[0].index + len(loop.visits))
     branched = types.SimpleNamespace(lengths=loop.lengths, branch_visits=lambda: [moved] + visits[1:])
     first = chords[0]
-    wider = [first._replace(z=first.z + table.pi(Rat(1, 12)))] + chords[1:]
+    wider = [dataclasses.replace(first, z=first.z + table.pi(Rat(1, 12)))] + chords[1:]
     other = next(v for v in loop.visits if v.index not in (first.s.index, first.t.index))
-    shifted = [first._replace(t=other)] + chords[1:]
+    shifted = [dataclasses.replace(first, t=other)] + chords[1:]
     return [(longer, chords), (branched, chords), (loop, wider), (loop, shifted)]
 
 
@@ -1104,12 +1108,10 @@ def test_heawood_analyze_formats_each_scalar_once():
     assert 0 < area_text.call_count <= 200
 
 
-def test_heawood_analyze_runs_fifteen_dijkstras_and_one_pair_scan():
-    """Work-count guard: the girth reads the 14 memoised trees and runs one
-    skip-edge search for its witness (35 Dijkstra runs when every edge had
-    its own search), and the cycle list is scanned for disjoint pairs once
-    for the pair and bar stages together (each pair's own check passes the
-    two cycles alone)."""
+def test_heawood_analyze_scans_cycle_pairs_once():
+    """Work-count guard: the cycle list is scanned for disjoint pairs once
+    for the pair and bar stages together, and the distances take the 14
+    memoised trees plus the girth's one skip-edge search per edge."""
     from commensura import graph as graph_mod
 
     runs = mock.Mock(wraps=graph_mod.dijkstra)
@@ -1119,8 +1121,8 @@ def test_heawood_analyze_runs_fifteen_dijkstras_and_one_pair_scan():
     ), mock.patch.object(engine_mod, "disjoint_pairs", scans):
         a = analyze(build("heawood"))
     assert a.conformant and len(a.pairs) == 42
-    assert runs.call_count == 15
-    assert [len(call.args[0]) for call in scans.call_args_list if len(call.args[0]) != 2] == [213]
+    assert runs.call_count == 14 + 21
+    assert [len(call.args[0]) for call in scans.call_args_list] == [213]
 
 
 def test_chords_of_loop_fetches_one_tree_per_branch_visit():
@@ -1131,7 +1133,8 @@ def test_chords_of_loop_fetches_one_tree_per_branch_visit():
     g = build("heawood")
     sub = g.whole()
     cycles = cycles_of(sub)
-    loops = [loop_from_cycle(g, c) for c in cycles] + [bar_loop(g, b) for b in bars_of(sub, cycles)]
+    bars = bars_of(sub, disjoint_pairs(cycles))
+    loops = [loop_from_cycle(g, c) for c in cycles] + [bar_loop(g, b) for b in bars]
     fetch = MetricGraph.tree
     for _ in range(2):
         with mock.patch.object(MetricGraph, "tree", autospec=True, side_effect=fetch) as tree:
