@@ -30,10 +30,12 @@ from .dehn import (
 from .engine import analyze, check_hypotheses, decompose_segment
 from .errors import (
     AuditFailure,
+    DisconnectedGraph,
     EnumerationCapExceeded,
     GraphFormatError,
     HypothesisViolation,
     InternalInconsistency,
+    NonpositiveLength,
     PrecisionExhausted,
 )
 from .generators import generate
@@ -572,7 +574,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except (
+        GraphFormatError, NonpositiveLength, DisconnectedGraph, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except HypothesisViolation as exc:

@@ -14,7 +14,7 @@ byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ._rat import Rat
@@ -80,40 +80,6 @@ from .tilings import (
 
 def _point_report(graph: MetricGraph, p: PointOnGraph) -> dict:
     return {"edge": p.edge_id, "offset": format_scalar(p.offset)}
-
-
-# ---------------------------------------------------------------------------
-# certificates shared between equal tilings
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Certificate:
-    """What an annulus tiling certifies on its own, shared by every loop of
-    the graph whose tiling equals it."""
-
-    report: TilingReport  # verify_tiling's verdict, kept without its grid
-    measure: Optional[MeasureTiling]  # its measure form, built for bars only
-    dehn_plus: dict  # (q, r, a, designated) -> dehn_plus_test verdict
-
-
-def _certificate(graph: MetricGraph, tiling: GeometricTiling, measured: bool) -> _Certificate:
-    """The certificate of tiling, computed on the first equal tiling the
-    graph meets.
-
-    A tiling compares by its region and by every piece's label, centre and
-    halves, all exact, so equal tilings have the same verdict and measure
-    form.  Whatever depends on vertex names stays with the caller.  An
-    error, resource limits included, propagates and is never stored.
-    """
-    cert = graph.certificates.get(tiling)
-    # measured is the same for every equal tiling: bar tilings (measured)
-    # lead with the two spliced rectangles, which cycle tilings never have
-    if cert is None:
-        report = verify_tiling(tiling)
-        measure = to_measure_tiling(tiling, report) if measured and report.ok else None
-        cert = graph.certificates[tiling] = _Certificate(report.without_grid(), measure, {})
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +236,25 @@ def _shape_key(kind: str, loop: ImmersedLoop, chords, *lengths) -> tuple:
 
 
 @dataclass
-class _CycleShape:
-    """Every fact analyze_cycle derives from a cycle's shape, kept in
-    ``graph.shapes`` for the cycles of equal shape.  The facts stop where
-    analyze_cycle raises: areas stays empty after a failed tiling, and
-    budgets after a failed area check."""
+class _Shape:
+    """Every fact derived from a loop's shape, kept in ``graph.shapes`` for
+    the loops of equal shape.  An error, resource limits included, stores
+    no shape.  The facts stop where the analysis raises: a cycle's areas
+    stay empty after a failed tiling, and its budgets after a failed area
+    check."""
 
     tiling: GeometricTiling
-    report: TilingReport
-    areas: tuple = ()  # (clear area, required area, ok) per visit
-    budgets: tuple = ()  # (z total, bound, ok) per branch visit
+    report: TilingReport  # verify_tiling's verdict, kept without its grid
+    measure: Optional[MeasureTiling] = None  # a bar's, once its tiling is ok
+    dehn_plus: dict = field(default_factory=dict)  # a bar's (q, r, a, designated) -> verdict
+    areas: tuple = ()  # a cycle's (clear area, required area, ok) per visit
+    budgets: tuple = ()  # a cycle's (z total, bound, ok) per branch visit
 
 
-def _cycle_shape(graph: MetricGraph, cycle: Cycle, loop: ImmersedLoop, chords) -> _CycleShape:
+def _cycle_shape(graph: MetricGraph, cycle: Cycle, loop: ImmersedLoop, chords) -> _Shape:
     table = graph.table
     tiling = annulus_tiling(loop, chords)
-    shape = _CycleShape(tiling, _certificate(graph, tiling, measured=False).report)
+    shape = _Shape(tiling, verify_tiling(tiling).without_grid())
     if not shape.report.ok:
         return shape
     bound = table.pi(Rat(2)) * (cycle.length - table.pi(Rat(2)))
@@ -487,14 +456,14 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         )
     loop = bar_loop(graph, bar)
     chords = chords_of_loop(loop)
-    # the tiling and its certificate are kept once per bar loop shape
     key = _shape_key("bar", loop, chords, bar.cycle1.length, bar.length)
     shape = graph.shapes.get(key)
     if shape is None:
         tiling = annulus_tiling(loop, chords, bar)
-        shape = graph.shapes[key] = (tiling, _certificate(graph, tiling, measured=True))
-    tiling, cert = shape
-    report = cert.report
+        report = verify_tiling(tiling)
+        measure = to_measure_tiling(tiling, report) if report.ok else None
+        shape = graph.shapes[key] = _Shape(tiling, report.without_grid(), measure)
+    report = shape.report
     if not report.ok:
         raise InternalInconsistency(
             f"annulus tiling of the bar loop failed: {report.status}"
@@ -512,13 +481,13 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
             cross += 1
     q, r, designated = bar.length, table.pi(), tuple(designated)
     key = (q, r, a, designated)
-    verdict = cert.dehn_plus.get(key)
+    verdict = shape.dehn_plus.get(key)
     if verdict is None:
         try:
-            verdict = dehn_plus_test(cert.measure, q=q, r=r, a=a, designated=designated)
+            verdict = dehn_plus_test(shape.measure, q=q, r=r, a=a, designated=designated)
         except AuditFailure as exc:
             raise InternalInconsistency(f"bar audit failed: {exc}") from exc
-        cert.dehn_plus[key] = verdict
+        shape.dehn_plus[key] = verdict
     if isinstance(verdict, DehnPlusCertificate):
         raise InternalInconsistency(
             "bar measure tiling admits a two-parameter separating functional;"
@@ -537,9 +506,9 @@ def analyze_bar(graph: MetricGraph, bar: BarTriple) -> BarAnalysis:
         chords=tuple(chords),
         designated=designated,
         designated_cross=cross,
-        tiling=tiling,
+        tiling=shape.tiling,
         tiling_report=report,
-        measure=cert.measure,
+        measure=shape.measure,
         verdict=verdict,
     )
 

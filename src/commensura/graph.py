@@ -81,10 +81,8 @@ class MetricGraph:
         self._germs: dict[str, list[Germ]] = {}
         self._trees: dict[str, SourceTree] = {}  # memo of tree(); cleared on change
         # cleared with _trees: the loop positions per step-length sequence
-        # (chords.ImmersedLoop), and the engine's certificates per distinct
-        # tiling and its facts per loop shape
+        # (chords.ImmersedLoop), and the engine's facts per loop shape
         self.walks: dict = {}
-        self.certificates: dict = {}
         self.shapes: dict = {}
 
     # -- construction -------------------------------------------------------
@@ -118,7 +116,7 @@ class MetricGraph:
 
     def _changed(self) -> None:
         """Drop every memo that depends on the graph's vertices and edges."""
-        for memo in (self._trees, self.walks, self.certificates, self.shapes):
+        for memo in (self._trees, self.walks, self.shapes):
             memo.clear()
 
     def declare_subgraph(self, name: str, edge_ids: Sequence[str]) -> None:
@@ -279,14 +277,14 @@ def dijkstra(graph: MetricGraph, source: str, skip_edge: str | None = None) -> S
 
     table = graph.table
     dist: dict[str, Scalar] = {source: table.zero()}
-    done: set[str] = set()
+    done: dict[str, None] = {}  # settled vertices, in settle order
     heap: list[tuple[_Key, int, str]] = [(_Key(table.zero()), 0, source)]
     counter = itertools.count(1)
     while heap:
         key, _, x = heapq.heappop(heap)
         if x in done:
             continue
-        done.add(x)
+        done[x] = None
         for g in graph.germs_at(x):
             e = g[0]
             if e.id == skip_edge or e.is_loop():
@@ -303,11 +301,12 @@ def dijkstra(graph: MetricGraph, source: str, skip_edge: str | None = None) -> S
                 if cmp is Comparison.LESS:
                     dist[y] = cand
                     heapq.heappush(heap, (_Key(cand), next(counter), y))
-    # shortest-path DAG: multiplicities (saturated at 2) and canonical preds
-    order = sorted(dist, key=lambda v: (_Key(dist[v]), graph.vertex_order(v)))
+    # shortest-path DAG: multiplicities (saturated at 2) and canonical preds.
+    # Lengths are positive, so every predecessor of v is strictly nearer and
+    # was settled before v: settle order needs no further comparison.
     counts: dict[str, int] = {source: 1}
     pred: dict[str, Germ] = {}
-    for v in order:
+    for v in done:
         if v == source:
             continue
         total = 0

@@ -176,14 +176,6 @@ class GeometricTiling:
     region: object
     pieces: tuple
 
-    def __hash__(self) -> int:
-        # computed once: a memo lookup that misses stores under the same hash
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.region, self.pieces))
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 # ---------------------------------------------------------------------------
 # constructions

@@ -128,7 +128,8 @@ def test_check_reports_violation_with_witness(capsys, tmp_path):
 
 
 def test_check_named_subgraph(capsys, tmp_path, heawood_path):
-    text = open(heawood_path).read() + f"subgraph hex {HEX1.replace(',', ' ')}\n"
+    with open(heawood_path) as fh:
+        text = fh.read() + f"subgraph hex {HEX1.replace(',', ' ')}\n"
     path = write(tmp_path, "named.graph", text)
     code, out, _ = run(capsys, "check", path, "--subgraph", "hex")
     assert code == 0
@@ -666,6 +667,41 @@ def test_malformed_graph_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", path)
     assert code == 1
     assert "unknown directive" in err
+
+
+@pytest.mark.parametrize("length", ["-1", "0"])
+def test_nonpositive_length_is_input_error(capsys, tmp_path, length):
+    path = write(tmp_path, "neg.graph", f"vertex a\nvertex b\nedge e a b {length}\n")
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (1, "")
+    assert err == "error: edge e has nonpositive length\n"
+
+
+def test_disconnected_graph_is_input_error(capsys, tmp_path):
+    path = write(tmp_path, "apart.graph", "vertex a\nvertex b\nvertex c\nedge e a b 1\n")
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (1, "")
+    assert err == "error: unreachable vertices: c\n"
+
+
+def test_directory_input_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "directory" in err
+
+
+def test_non_utf8_input_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes("vertex \u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_gen_nonpositive_perturbation_is_input_error(capsys):
+    code, out, err = run(capsys, "gen", "perturb", "base=heawood", "edge=e0", "delta=-10")
+    assert (code, out) == (1, "")
+    assert err == "error: edge e0 has nonpositive length\n"
 
 
 def test_stdin_dash(capsys, monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 from commensura._rat import Rat
 import commensura.engine as engine_mod
 from commensura.engine import (
-    _certificate,
     analyze,
     analyze_bar,
     analyze_cycle,
@@ -48,7 +47,7 @@ from commensura.graph import (
     segments_of,
 )
 from commensura.scalars import Area, Comparison, SymbolTable, format_scalar, pi_ratio, sum_terms
-from commensura.tilings import DiamondPiece, GeometricTiling, _Grid, annulus_tiling, verify_tiling
+from commensura.tilings import _Grid, annulus_tiling, verify_tiling
 
 from test_chords import k44 as k44_graph
 
@@ -725,9 +724,9 @@ def test_analysis_keeps_no_tiling_grid(heawood, heawood_analysis):
     a = analyze(build("theta", strands=3, length="PI"))
     assert a.cycles and _grids_reachable(a) == 0
     assert _grids_reachable(heawood_analysis) == 0  # pairs and bars too
-    # the certificates shared between equal tilings keep none either
-    assert a.graph.certificates and _grids_reachable(a.graph.certificates) == 0
-    assert heawood.certificates and _grids_reachable(heawood.certificates) == 0
+    # the facts shared between loops of one shape keep none either
+    assert a.graph.shapes and _grids_reachable(a.graph.shapes) == 0
+    assert heawood.shapes and _grids_reachable(heawood.shapes) == 0
     # the walk does find the grid an ok report carries
     assert _grids_reachable(verify_tiling(a.cycles[0].tiling)) == 1
 
@@ -739,7 +738,7 @@ def test_reports_are_byte_identical_across_runs():
 
 
 # ---------------------------------------------------------------------------
-# certificates shared between equal tilings
+# shape facts shared between loops, against objects analysed alone
 # ---------------------------------------------------------------------------
 
 # a theta whose first strand is split off its middle by a decimal symbol:
@@ -756,12 +755,14 @@ edge s2 u v PI
 """
 
 
-def _mixed_k44() -> str:
+def _mixed_k44(a_last: bool = False) -> str:
     """K4,4 at PI/2 with the edge u1-x1 split by a vertex a at PI/4 +
     h/10.  Declared first, a starts every loop through it, so those loops
-    put their chords at mixed-basis positions."""
-    lines = ["symbol h 2.5 err 1/100", "vertex a"]
-    lines += [f"vertex {p}{i}" for p in "ux" for i in range(1, 5)]
+    put their chords at mixed-basis positions; declared last, its loops
+    have 13 shapes over 4 distinct tilings."""
+    verts = [f"vertex {p}{i}" for p in "ux" for i in range(1, 5)]
+    verts = verts + ["vertex a"] if a_last else ["vertex a"] + verts
+    lines = ["symbol h 2.5 err 1/100"] + verts
     for i in range(1, 5):
         for j in range(1, 5):
             if (i, j) == (1, 1):
@@ -812,9 +813,8 @@ def test_chord_ratio_is_the_direct_pi_ratio(name):
 
 def _object_reports(text, fresh_each):
     """Every cycle and bar of a freshly parsed graph, analysed one at a
-    time; with fresh_each, the graph's certificates, shape facts and loop
-    walks are dropped before each object, so every one is certified from
-    scratch."""
+    time; with fresh_each, the graph's shape facts and loop walks are
+    dropped before each object, so every one is certified from scratch."""
     g = parse_graph(text)
     cycles = cycles_of(g.whole())
     out = []
@@ -822,7 +822,7 @@ def _object_reports(text, fresh_each):
     for analyze_one, objects in ((analyze_cycle, cycles), (analyze_bar, bars)):
         for obj in objects:
             if fresh_each:
-                for memo in (g.certificates, g.shapes, g.walks):
+                for memo in (g.shapes, g.walks):
                     memo.clear()
             out.append(analyze_one(g, obj).as_report())
     return out, g
@@ -840,19 +840,33 @@ def test_mixed_basis_shared_certificates_match_single_object_analysis(text):
     shared, g = _object_reports(text, fresh_each=False)
     alone, _ = _object_reports(text, fresh_each=True)
     assert shared == alone
-    # some shapes, and some certificates across shapes, were shared
-    assert len(g.certificates) < len(g.shapes) < len(shared)
+    # some shapes were shared
+    assert len(g.shapes) < len(shared)
     if text == MIXED_THETA:
         a = analyze(parse_graph(text))
         assert a.conformant and [c.as_report() for c in a.cycles] == shared
     else:
-        assert any(len(x.num) > 1 for t in g.certificates for p in t.pieces for x in p.center)
+        tilings = [shape.tiling for shape in g.shapes.values()]
+        assert any(len(x.num) > 1 for t in tilings for p in t.pieces for x in p.center)
+
+
+def test_split_k44_verifies_each_shape_once():
+    """Work-count guard: with vertex a declared last, the split K4,4
+    verifies each of its 13 annulus shapes once, although they share 4
+    distinct tilings, and each of its 18 pair products once."""
+    verified = mock.Mock(wraps=engine_mod.verify_tiling)
+    g = parse_graph(_mixed_k44(a_last=True))
+    with mock.patch.object(engine_mod, "verify_tiling", verified):
+        a = analyze(g)
+    assert a.conformant
+    assert len(g.shapes) == 13 and len({s.tiling for s in g.shapes.values()}) == 4
+    assert verified.call_count == len(g.shapes) + len(a.pairs) == 31
 
 
 def test_heawood_certifies_each_distinct_tiling_once():
-    """Work-count guard: one verification per distinct annulus tiling (and
-    one per pair, whose products are not shared) and one Dehn-plus test per
-    distinct input."""
+    """Work-count guard: one verification per annulus shape, each with its
+    own tiling here (and one per pair, whose products are not shared), and
+    one Dehn-plus test per distinct input."""
     verified = []
     dehn_inputs = []
     real_verify, real_dehn = engine_mod.verify_tiling, engine_mod.dehn_plus_test
@@ -878,58 +892,22 @@ def test_heawood_certifies_each_distinct_tiling_once():
     assert len(dehn_inputs) == len(set(dehn_inputs)) == len(keys) == 8
 
 
-def _variants(tiling):
-    """Copies of tiling that differ from it in one label, or in one
-    coefficient of one centre."""
-    table = tiling.table
-    first, rest = tiling.pieces[0], tiling.pieces[1:]
-    relabelled = DiamondPiece(first.label + "x", first.center, first.half_sum, first.half_diff)
-    cx, cy = first.center
-    moved = DiamondPiece(first.label, (cx + table.pi(Rat(1, 6)), cy), first.half_sum, first.half_diff)
-    return [GeometricTiling(table, tiling.region, (p,) + rest) for p in (relabelled, moved)]
-
-
 @pytest.fixture
 def heawood_bar():
-    """A fresh Heawood graph, with no certificates, its first bar, and the
+    """A fresh Heawood graph, with no shape facts, its first bar, and the
     same bar analysed on a copy."""
     g, copy = build("heawood"), build("heawood")
     first_bar = [bars_of(h.whole(), disjoint_pairs(cycles_of(h.whole())))[0] for h in (g, copy)]
     return g, first_bar[0], analyze_bar(copy, first_bar[1])
 
 
-def test_certificates_are_keyed_by_the_exact_tiling(heawood_bar):
-    g, bar, alone = heawood_bar
-    loop = bar_loop(g, bar)
-    tiling = annulus_tiling(loop, chords_of_loop(loop), bar)
-    cert = _certificate(g, tiling, measured=True)
-    assert cert.report == verify_tiling(tiling).without_grid()
-    assert cert.report.ok and alone.tiling_report.ok
-    relabelled, moved = _variants(tiling)
-    for variant in (relabelled, moved):
-        assert variant.region == tiling.region and variant != tiling
-    # a new label names a new measure piece; the verdict stays ok
-    other = _certificate(g, relabelled, measured=True)
-    assert other is not cert and other.report.ok
-    assert other.measure.labels[0] != cert.measure.labels[0]
-    assert other.measure.labels[1:] == cert.measure.labels[1:]
-    # a moved centre breaks the tiling, which the stored verdict must not hide
-    broken = _certificate(g, moved, measured=True)
-    assert broken.report == verify_tiling(moved).without_grid()
-    assert not broken.report.ok and broken.measure is None
-    assert len(g.certificates) == 3
-    # an equal tiling built apart finds the stored certificate
-    copy = GeometricTiling(g.table, tiling.region, tuple(tiling.pieces))
-    assert _certificate(g, copy, measured=True) is cert
-
-
 def test_bar_verdicts_are_keyed_by_every_dehn_input(heawood_bar):
     g, bar, alone = heawood_bar
     first = analyze_bar(g, bar)
     assert first.as_report() == alone.as_report()
-    (cert,) = g.certificates.values()
+    (shape,) = g.shapes.values()
     key = (bar.length, g.table.pi(), first.a, first.designated)
-    assert list(cert.dehn_plus) == [key] and cert.dehn_plus[key] is first.verdict
+    assert list(shape.dehn_plus) == [key] and shape.dehn_plus[key] is first.verdict
     assert analyze_bar(g, bar).verdict is first.verdict
 
 
@@ -944,31 +922,30 @@ def test_resource_limits_are_not_stored():
     with mock.patch.object(engine_mod, "verify_tiling", undecided):
         with pytest.raises(PrecisionExhausted):
             analyze_cycle(g, cycle)
-    assert g.certificates == {} and g.shapes == {}
-    # a limit met after the tiling is verified keeps the tiling's
-    # certificate, but no shape facts
-    with mock.patch.object(engine_mod, "compare_area", lambda *args: Comparison.INDETERMINATE):
-        with pytest.raises(PrecisionExhausted):
-            analyze_cycle(g, cycle)
-    assert len(g.certificates) == 1 and g.shapes == {}
-    g.certificates.clear()
+    assert g.shapes == {}
+    # a limit met after the tiling is verified stores nothing either
     calls = []
     with mock.patch.object(engine_mod, "verify_tiling", lambda t, *a: calls.append(t) or real(t, *a)):
+        with mock.patch.object(engine_mod, "compare_area", lambda *args: Comparison.INDETERMINATE):
+            with pytest.raises(PrecisionExhausted):
+                analyze_cycle(g, cycle)
+        assert len(calls) == 1 and g.shapes == {}
+        calls.clear()
         assert analyze_cycle(g, cycle).tiling_report.ok
         analyze_cycle(g, cycle)
-    assert len(calls) == 1 and len(g.certificates) == 1 and len(g.shapes) == 1
+    assert len(calls) == 1 and len(g.shapes) == 1
 
 
-def test_graph_change_drops_certificates():
+def test_graph_change_drops_shapes_and_walks():
     g = build("theta", strands=3, length="PI")
     analyze(g)
-    assert g.certificates and g.shapes and g.walks
+    assert g.shapes and g.walks
     g.add_vertex("w")
-    assert g.certificates == g.shapes == g.walks == {}
+    assert g.shapes == g.walks == {}
     analyze_cycle(g, cycles_of(g.whole())[0])
-    assert g.certificates and g.shapes and g.walks
+    assert g.shapes and g.walks
     g.add_edge("s3", "u", "w", g.table.pi())
-    assert g.certificates == g.shapes == g.walks == {}
+    assert g.shapes == g.walks == {}
 
 
 # ---------------------------------------------------------------------------

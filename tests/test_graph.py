@@ -6,7 +6,10 @@ edges is an embedded cycle iff it is connected and 2-regular (loops counted
 twice).  That check shares no code with the DFS under test.
 """
 
+import heapq
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from commensura.errors import (
     GraphFormatError,
     HypothesisViolation,
     NonpositiveLength,
+    PrecisionExhausted,
 )
 from commensura.generators import build as generate_graph
 from commensura.graph import (
@@ -728,6 +732,115 @@ def test_tree_oracle_matches_fresh_dijkstra(edge_list):
         assert tree.pred == fresh.pred
         assert tree.counts == fresh.counts
     assert [g.vertex_order(v) for v in g.vertices] == list(range(len(g.vertices)))
+
+
+def ref_dijkstra(graph, source, skip_edge=None):
+    """The shortest-path search with its path-count pass over every reached
+    vertex sorted by (exact distance, vertex order): an independent
+    reference for dijkstra's settle-order pass."""
+    table = graph.table
+    key = graph_mod._Key
+    dist = {source: table.zero()}
+    done = set()
+    heap = [(key(table.zero()), 0, source)]
+    counter = itertools.count(1)
+    while heap:
+        _, _, x = heapq.heappop(heap)
+        if x in done:
+            continue
+        done.add(x)
+        for g in graph.germs_at(x):
+            e = g[0]
+            if e.id == skip_edge or e.is_loop():
+                continue
+            y = graph_mod.germ_target(g)
+            cand = dist[x] + e.length
+            if y not in dist:
+                dist[y] = cand
+                heapq.heappush(heap, (key(cand), next(counter), y))
+            elif y not in done:
+                cmp = table.compare(cand, dist[y])
+                if cmp is Comparison.INDETERMINATE:
+                    raise PrecisionExhausted("shortest-path relaxation undecidable")
+                if cmp is Comparison.LESS:
+                    dist[y] = cand
+                    heapq.heappush(heap, (key(cand), next(counter), y))
+    order = sorted(dist, key=lambda v: (key(dist[v]), graph.vertex_order(v)))
+    counts = {source: 1}
+    pred = {}
+    for v in order:
+        if v == source:
+            continue
+        total = 0
+        best = None
+        for g in graph.germs_at(v):
+            e = g[0]
+            if e.id == skip_edge or e.is_loop():
+                continue
+            w = graph_mod.germ_target(g)
+            if w in dist and dist[w] + e.length == dist[v]:
+                total = min(2, total + counts.get(w, 0))
+                if best is None:
+                    best = graph_mod.reverse_germ(g)
+        counts[v] = total
+        if best is not None:
+            pred[v] = best
+    return graph_mod.SourceTree(source, dist, pred, counts)
+
+
+def _search_outcome(search, *args):
+    """dist (as exact keys), pred and counts of one search, or the type and
+    message of what it raised."""
+    try:
+        tree = search(*args)
+    except PrecisionExhausted as exc:
+        return ("raises", type(exc), str(exc))
+    return {v: d.key() for v, d in tree.dist.items()}, tree.pred, tree.counts
+
+
+@st.composite
+def symbol_graph_text(draw):
+    """Graph files of 2 to 7 vertices with loops and parallel edges, whose
+    lengths are rational, multiples of PI, or a decimal symbol that never
+    refines (so some orders cannot be decided)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    verts = [f"v{i}" for i in range(n)]
+    forms = ["{k}/4", "{k}/6*PI", "{k}/4*h", "{k}/4 + {k}/6*PI", "1 + {k}/8*h"]
+
+    def length():
+        form = draw(st.sampled_from(forms))
+        return form.format(k=draw(st.integers(min_value=1, max_value=8)))
+
+    lines = ["symbol h 1 err 1/100"] + [f"vertex {v}" for v in verts]
+    lines += [f"edge c{i} {verts[i]} {verts[i + 1]} {length()}" for i in range(n - 1)]
+    for k in range(draw(st.integers(min_value=0, max_value=5))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        lines.append(f"edge x{k} {verts[i]} {verts[j]} {length()}")
+    return "\n".join(lines) + "\n"
+
+
+@given(symbol_graph_text())
+@settings(max_examples=150, deadline=None)
+def test_settle_order_path_counts_match_the_sorted_pass(text):
+    """Differential: from every source, with and without each skipped edge,
+    dijkstra's distances, predecessors and path counts, or the error it
+    raises, are those of the sorted reference pass."""
+    g = parse_graph(text)
+    for source in g.vertices:
+        for skip in [None] + [e.id for e in g.edges]:
+            new = _search_outcome(dijkstra, g, source, skip)
+            assert new == _search_outcome(ref_dijkstra, g, source, skip)
+
+
+def test_heawood_dijkstra_comparison_count():
+    """Work-count guard: one Heawood search makes 43 exact comparisons (56
+    when the path-count pass sorted the reached vertices)."""
+    g = generate_graph("heawood")
+    compare = mock.Mock(wraps=g.table.compare)
+    with mock.patch.object(g.table, "compare", compare):
+        dijkstra(g, "p0")
+    assert compare.call_count == 43
 
 
 def test_graph_changes_clear_the_tree_memo():

@@ -182,7 +182,7 @@ def test_coeffs_rule_sees_one():
 
 
 # Memoised results live with the object they describe (a graph keeps its
-# trees and tiling certificates and drops them when it changes); a
+# trees and shape facts and drops them when it changes); a
 # functools cache would hold every argument and result for the life of
 # the process and share them between unrelated graphs.
 FUNCTOOLS_CACHES = {"lru_cache", "cache"}
