@@ -47,7 +47,7 @@ from .graph import (
     parse_graph,
     segments_of,
 )
-from .scalars import MAX_PRECISION_BITS, format_scalar, parse_scalar
+from .scalars import MAX_PRECISION_BITS, MIN_PRECISION_BITS, format_scalar, parse_scalar
 from .tilings import (
     annulus_tiling,
     product_tiling,
@@ -305,7 +305,7 @@ def _cmd_check(args) -> int:
     graph = _load_graph(args)
     sub, name = _pick_subgraph(graph, args.subgraph)
     audit = check_hypotheses(graph, sub)
-    payload = {"kind": "audit", "subgraph": name, "audit": audit.as_report(graph)}
+    payload = {"kind": "audit", "subgraph": name, "audit": audit.as_report()}
     lines = [f"subgraph: {name}", f"audit: {'ok' if audit.ok else 'violated'}"]
     rep = payload["audit"]
     lines.append(
@@ -562,8 +562,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.precision_bits > MAX_PRECISION_BITS:
-            raise UsageError(f"--precision-bits is at most {MAX_PRECISION_BITS}")
+        if not MIN_PRECISION_BITS <= args.precision_bits <= MAX_PRECISION_BITS:
+            raise UsageError(
+                f"--precision-bits must lie in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}"
+            )
         if not 0 <= args.plot_digits <= MAX_PLOT_DIGITS:
             raise UsageError(f"--plot-digits must lie in 0..{MAX_PLOT_DIGITS}")
         if args.cycle_cap < 0:

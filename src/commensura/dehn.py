@@ -421,7 +421,7 @@ def dehn_plus_test(t: MeasureTiling, q: Scalar, r: Scalar, a, designated: Sequen
 def parse_measure_tiling(text: str, precision_bits: int | None = None) -> MeasureTiling:
     from .scalars import DEFAULT_PRECISION_BITS
 
-    table = SymbolTable(precision_bits or DEFAULT_PRECISION_BITS)
+    table = SymbolTable(DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits)
     spaces: dict[str, list[tuple[str, Scalar]]] = {}
     piece_specs: list[tuple[list[str], list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -78,7 +78,7 @@ from .tilings import (
 )
 
 
-def _point_report(graph: MetricGraph, p: PointOnGraph) -> dict:
+def _point_report(p: PointOnGraph) -> dict:
     return {"edge": p.edge_id, "offset": format_scalar(p.offset)}
 
 
@@ -114,7 +114,7 @@ class HypothesisAudit:
             return f"vertex {self.min_degree_vertex} has degree {self.min_degree} < 2 in the subgraph"
         return None
 
-    def as_report(self, graph: MetricGraph) -> dict:
+    def as_report(self) -> dict:
         diam = {
             "ok": self.diameter.ok,
             "bound": format_scalar(self.diameter_bound),
@@ -123,7 +123,7 @@ class HypothesisAudit:
             else format_scalar(self.diameter.max_distance),
             "witness": None
             if self.diameter.witness is None
-            else [_point_report(graph, p) for p in self.diameter.witness],
+            else [_point_report(p) for p in self.diameter.witness],
         }
         return {
             "ok": self.ok,
@@ -598,21 +598,15 @@ def _decompose_many(
 
 
 def decompose_segment(
-    sub: Subgraph,
-    segment: SegmentPath,
-    cycles: Optional[list] = None,
-    bars: Optional[list] = None,
-    cap: int = DEFAULT_CYCLE_CAP,
+    sub: Subgraph, segment: SegmentPath, cap: int = DEFAULT_CYCLE_CAP
 ) -> SegmentAnalysis:
     """Write one segment as an exact rational combination of cycles and bars.
 
     Pure edge-space algebra; the length ratio rides along informationally
     and stays None off the PI lattice.
     """
-    if cycles is None:
-        cycles = cycles_of(sub, cap)
-    if bars is None:
-        bars = bars_of(sub, cap=cap)
+    cycles = cycles_of(sub, cap)
+    bars = bars_of(sub, disjoint_pairs(cycles), cap=cap)
     (seg, terms, verified), = _decompose_many(sub, [segment], cycles, bars)
     return SegmentAnalysis(
         segment=seg, ratio=pi_ratio(segment.length), terms=terms, verified=verified
@@ -644,7 +638,7 @@ class Analysis:
             "subgraph": self.subgraph_name,
             "precision_bits": self.graph.table.precision_bits,
             "cycle_cap": self.cycle_cap,
-            "audit": self.audit.as_report(self.graph),
+            "audit": self.audit.as_report(),
             "conformant": self.conformant,
             "failure": self.failure,
             "coverage": {
@@ -762,7 +756,7 @@ def analyze(
             "stage": stage,
             "subject": subject,
             "detail": str(exc),
-            "re_audit": audit.as_report(graph),
+            "re_audit": audit.as_report(),
         }
         return Analysis(
             graph, sub, subgraph_name, audit, False, failure, cycle_cap=cycle_cap, **empty

@@ -397,62 +397,17 @@ def girth(graph: MetricGraph) -> GirthResult:
 # point diameter
 # ---------------------------------------------------------------------------
 #
-# Distances between interior points of edges are minima of finitely many
-# linear route functions in the two offsets; on each (triangulated) domain
-# the minimum is concave and piecewise linear, so its maximum is attained at
-# an intersection of two constraint lines.  All candidate intersections are
-# enumerated and evaluated exactly.
+# For edges e != f, let uu, uv, vu, vv be the distances from e's ends to f's
+# ends and a, b their lengths.  The point at alpha on e lies at the tents
+# D_u = min(uu + alpha, vu + a - alpha) and D_v = min(uv + alpha, vv + a - alpha)
+# from f's ends.  The triangle inequality gives |D_u - D_v| <= b, so the
+# farthest point of f lies at (D_u + D_v + b)/2, and D_u + D_v is flat at
+# min(uu + vv, uv + vu) + a between the two tent peaks.  The pair's maximum is
+# half of min(uu + vv, uv + vu) + a + b, reached on the segment joining the
+# peak points.  On one edge the farthest pair halves the shortest cycle
+# through the edge: (a + d(e.u, e.v))/2.
 
-
-class _Route:
-    """value(alpha, beta) = base + ca*alpha + cb*beta with ca, cb in {-1,0,1}."""
-
-    __slots__ = ("base", "ca", "cb")
-
-    def __init__(self, base: Scalar, ca: int, cb: int):
-        self.base = base
-        self.ca = ca
-        self.cb = cb
-
-    def at(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        val = self.base
-        if self.ca:
-            val = val + alpha if self.ca > 0 else val - alpha
-        if self.cb:
-            val = val + beta if self.cb > 0 else val - beta
-        return val
-
-
-class _Line:
-    """c0 + ca*alpha + cb*beta = 0 with small integer gradients."""
-
-    __slots__ = ("c0", "ca", "cb")
-
-    def __init__(self, c0: Scalar, ca: int, cb: int):
-        self.c0 = c0
-        self.ca = ca
-        self.cb = cb
-
-
-def _gradient_difference(cx: int, x: Scalar, cy: int, y: Scalar) -> Scalar:
-    """cx*x - cy*y, adding where cy < 0 so that y is never negated; scale
-    by a gradient 0 or 1 returns an existing Scalar."""
-    if cy < 0:
-        return x.scale(cx) + y.scale(-cy)
-    return x.scale(cx) - y.scale(cy)
-
-
-def _intersect(l1: _Line, l2: _Line, table: SymbolTable):
-    # gradients lie in {0, +-1, +-2}, so det is 0, +-1, +-2, +-4 or +-8
-    det = l1.ca * l2.cb - l1.cb * l2.ca
-    if det == 0:
-        return None
-    alpha = _gradient_difference(l1.cb, l2.c0, l2.cb, l1.c0)
-    beta = _gradient_difference(l2.ca, l1.c0, l1.ca, l2.c0)
-    if det != 1:
-        inv = Rat(1, det)
-        alpha, beta = alpha.scale(inv), beta.scale(inv)
-    return alpha, beta
+_HALF = Rat(1, 2)
 
 
 def _strict_cmp(table: SymbolTable, a: Scalar, b: Scalar) -> Comparison:
@@ -466,22 +421,36 @@ def _pair_bounded(table: SymbolTable, route_sums: tuple, twice_best: Scalar) -> 
     """Whether an edge pair cannot beat the running maximum ``best``.
 
     Opposite corner routes of a pair add up to a constant (``route_sums``),
-    so no value of the pair exceeds half of either sum; a pair whose sum is
-    at most ``2*best`` can never strictly exceed ``best``.  An undecided
-    comparison keeps the pair, so the bound raises nothing the full
-    enumeration would not."""
+    and the pair's maximum is half the smaller sum; a pair with a sum of at
+    most ``2*best`` can never strictly exceed ``best``.  An undecided
+    comparison keeps the pair, so the bound raises nothing by itself."""
     return any(
         table.compare(s, twice_best) in (Comparison.LESS, Comparison.EQUAL) for s in route_sums
     )
 
 
-def _min_over_routes(routes: list[_Route], alpha: Scalar, beta: Scalar, table: SymbolTable) -> Scalar:
-    best = routes[0].at(alpha, beta)
-    for r in routes[1:]:
-        val = r.at(alpha, beta)
-        if _strict_cmp(table, val, best) is Comparison.LESS:
-            best = val
-    return best
+def _farthest_pair(e: Edge, f: Edge, corners: tuple, twice: Scalar, u_first: bool) -> tuple:
+    """One maximising pair of points of e and f.
+
+    Of the segment of maximisers this is the end on alpha = 0, else on
+    alpha = a, else on beta = 0, else on beta = b, else the end where the uu
+    and uv routes tie: the point the line-by-line enumeration this replaced
+    met first, so reports keep their witnesses.  ``u_first`` says that the
+    peak of D_u comes first along e."""
+    a, b = e.length, f.length
+    if e is f:
+        return PointOnGraph(e.id, a), PointOnGraph(f.id, a - twice.scale(_HALF))
+    uu, uv, vu, vv = corners
+    peak_u, peak_v = (vu + a - uu).scale(_HALF), (vv + a - uv).scale(_HALF)
+    # the end at the first peak lies where the uu and uv routes tie, the
+    # other where the vu and vv routes tie
+    ties = (uv - uu + b).scale(_HALF), (vv - vu + b).scale(_HALF)
+    first, second = (peak_u, peak_v) if u_first else (peak_v, peak_u)
+    ends = ((first, ties[0]), (second, ties[1]))
+    zero = a.table.zero()
+    sides = ((0, zero), (0, a), (1, zero), (1, b))
+    alpha, beta = next((p for axis, side in sides for p in ends if p[axis] == side), ends[0])
+    return PointOnGraph(e.id, alpha), PointOnGraph(f.id, beta)
 
 
 @dataclass
@@ -494,7 +463,6 @@ class DiameterResult:
 def point_diameter_check(graph: MetricGraph, sub: Subgraph, bound: Scalar) -> DiameterResult:
     """Exact max distance between points of the subgraph, measured in graph."""
     table = graph.table
-    zero = table.zero()
     edges = sub.edges()
     if not edges:
         return DiameterResult(True, None, None)
@@ -510,70 +478,19 @@ def point_diameter_check(graph: MetricGraph, sub: Subgraph, bound: Scalar) -> Di
             # corner routes: leave e through one end, enter f through one end
             uu, uv = trees[e.u].dist[f.u], trees[e.u].dist[f.v]
             vu, vv = trees[e.v].dist[f.u], trees[e.v].dist[f.v]
-            if best is not None:
-                ab = a + b
-                if _pair_bounded(table, (uu + vv + ab, uv + vu + ab), twice_best):
-                    continue
-            routes = [
-                _Route(uu, 1, 1),
-                _Route(uv + b, 1, -1),
-                _Route(vu + a, -1, 1),
-                _Route(vv + a + b, -1, -1),
-            ]
-            boundary = [
-                _Line(zero, 1, 0),          # alpha = 0
-                _Line(zero - a, 1, 0),      # alpha = a  (a - alpha = 0 form: -a + alpha)
-                _Line(zero, 0, 1),
-                _Line(zero - b, 0, 1),
-            ]
+            ab = a + b
+            sums = (uu + vv + ab, uv + vu + ab)
+            if best is not None and _pair_bounded(table, sums, twice_best):
+                continue
             if e is f:
-                domains = [
-                    (routes + [_Route(zero, 1, -1)], boundary + [_Line(zero, 1, -1)], (1, -1)),
-                    (routes + [_Route(zero, -1, 1)], boundary + [_Line(zero, 1, -1)], (-1, 1)),
-                ]
+                twice, u_first = a + uv, False
             else:
-                domains = [(routes, boundary, None)]
-
-            for dom_routes, dom_boundary, half in domains:
-                lines = list(dom_boundary)
-                n = len(dom_routes)
-                for p in range(n):
-                    for q in range(p + 1, n):
-                        rp, rq = dom_routes[p], dom_routes[q]
-                        ca, cb = rp.ca - rq.ca, rp.cb - rq.cb
-                        if ca == 0 and cb == 0:
-                            continue
-                        lines.append(_Line(rp.base - rq.base, ca, cb))
-                seen: set = set()
-                for l1, l2 in itertools.combinations(lines, 2):
-                    pt = _intersect(l1, l2, table)
-                    if pt is None:
-                        continue
-                    alpha, beta = pt
-                    key = (alpha.key(), beta.key())
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if _strict_cmp(table, alpha, zero) is Comparison.LESS:
-                        continue
-                    if _strict_cmp(table, alpha, a) is Comparison.GREATER:
-                        continue
-                    if _strict_cmp(table, beta, zero) is Comparison.LESS:
-                        continue
-                    if _strict_cmp(table, beta, b) is Comparison.GREATER:
-                        continue
-                    if half is not None:
-                        d = alpha.scale(half[0]) + beta.scale(half[1])
-                        if _strict_cmp(table, d, zero) is Comparison.LESS:
-                            continue
-                    val = _min_over_routes(dom_routes, alpha, beta, table)
-                    if best is None or _strict_cmp(table, val, best) is Comparison.GREATER:
-                        best = val
-                        twice_best = val.scale(2)
-                        best_pair = (
-                            PointOnGraph(e.id, alpha),
-                            PointOnGraph(f.id, beta),
-                        )
+                u_first = _strict_cmp(table, sums[0], sums[1]) is Comparison.GREATER
+                twice = sums[1] if u_first else sums[0]
+            value = twice.scale(_HALF)
+            if best is None or _strict_cmp(table, value, best) is Comparison.GREATER:
+                best, twice_best = value, twice
+                best_pair = _farthest_pair(e, f, (uu, uv, vu, vv), twice, u_first)
 
     assert best is not None
     ok = _strict_cmp(table, best, bound) is not Comparison.GREATER
@@ -822,7 +739,7 @@ def bars_of(
 def parse_graph(text: str, precision_bits: int | None = None) -> MetricGraph:
     from .scalars import DEFAULT_PRECISION_BITS
 
-    table = SymbolTable(precision_bits or DEFAULT_PRECISION_BITS)
+    table = SymbolTable(DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits)
     graph = MetricGraph(table)
     lengths: dict[Scalar, Scalar] = {}  # one instance per distinct edge length
     for lineno, raw in enumerate(text.splitlines(), start=1):

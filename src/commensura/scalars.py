@@ -55,7 +55,8 @@ from .errors import MixedSymbolTables, PrecisionExhausted
 DEFAULT_PRECISION_BITS = 256
 # enclosures build integers of about this many bits, so the budget is bounded
 MAX_PRECISION_BITS = 65536
-_LADDER_START = 64
+# the ladder's first rung: no budget is smaller
+MIN_PRECISION_BITS = _LADDER_START = 64
 # symbol kinds whose value is positive by construction: 1 and pi
 _POSITIVE_KINDS = ("unit", "pi")
 

@@ -656,6 +656,22 @@ def test_precision_bits_above_the_limit_is_usage_error(capsys, tmp_path, where):
     assert code == 0
 
 
+@pytest.mark.parametrize("bits", ["0", "63", "-5"])
+def test_precision_bits_below_the_first_rung_is_usage_error(capsys, tmp_path, bits):
+    path = write(tmp_path, "circle.graph", generate("circle", length="2*PI"))
+    code, out, err = run(capsys, "analyze", path, "--precision-bits", bits)
+    assert code == 1
+    assert out == ""
+    assert "64..65536" in err
+
+
+def test_precision_bits_at_the_first_rung_is_used(capsys, tmp_path):
+    path = write(tmp_path, "circle.graph", generate("circle", length="2*PI"))
+    code, out, _ = run(capsys, "--format", "machine", "analyze", path, "--precision-bits", "64")
+    assert code == 0
+    assert json.loads(out)["precision_bits"] == 64
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/graph.txt")
     assert code == 1

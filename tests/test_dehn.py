@@ -584,6 +584,12 @@ piece A={x2} B={y1}
     assert format_scalar(t.x_measures[1]) == "1/3*PI + 2"
 
 
+@pytest.mark.parametrize("bits, used", [(None, 256), (0, 64), (64, 64), (100, 100)])
+def test_measure_tiling_parse_keeps_an_explicit_precision_budget(bits, used):
+    text = "space X x1=1\nspace Y y1=1\npiece A={x1} B={y1}\n"
+    assert parse_measure_tiling(text, precision_bits=bits).table.precision_bits == used
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

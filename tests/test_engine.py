@@ -519,6 +519,17 @@ def test_dumbbell_bar_decomposes_as_itself():
     ]
 
 
+def test_decompose_segment_enumerates_the_cycles_once():
+    g = build("dumbbell")
+    sub = g.whole()
+    (seg,) = segments_of(sub)
+    cycles_of = mock.Mock(wraps=engine_mod.cycles_of)
+    with mock.patch.object(engine_mod, "cycles_of", cycles_of):
+        with mock.patch("commensura.graph.cycles_of", cycles_of):
+            decompose_segment(sub, seg)
+    assert cycles_of.call_count == 1
+
+
 def test_solver_reports_unreachable_targets():
     cols = [[Rat(1), Rat(0)], [Rat(2), Rat(0)]]
     sols = solve(cols, [[Rat(0), Rat(1)], [Rat(3), Rat(0)]])

@@ -148,6 +148,11 @@ def test_parse_basic_shape():
     assert sub.degree("a") == 2
 
 
+@pytest.mark.parametrize("bits, used", [(None, 256), (0, 64), (64, 64), (100, 100)])
+def test_parse_keeps_an_explicit_precision_budget(bits, used):
+    assert parse_graph(SAMPLE, precision_bits=bits).table.precision_bits == used
+
+
 def test_serialize_round_trip():
     g1 = parse_graph(SAMPLE)
     text = serialize_graph(g1)
@@ -371,10 +376,10 @@ def test_point_distance_same_edge_wrap():
 
 
 # The audit skips an edge pair whose opposite corner routes sum to at most
-# twice the running maximum.  The reference is the full enumeration, with
-# the bound patched to skip nothing; the maximising pair does not depend on
-# the audit bound, so the reference runs at bound 0, where the witness is
-# always reported, and the pruned check runs at PI (the audit) and at 0.
+# twice the running maximum.  The reference evaluates every pair, with the
+# bound patched to skip nothing; the maximising pair does not depend on the
+# audit bound, so the reference runs at bound 0, where the witness is always
+# reported, and the pruned check runs at PI (the audit) and at 0.
 
 MIXED_THETA = """\
 symbol h 2.5 err 1/100
@@ -419,19 +424,16 @@ def test_diameter_prune_matches_full_enumeration(name, monkeypatch):
     assert _diameter_facts(pruned_zero) == _diameter_facts(full)
 
 
-def test_diameter_prune_bounds_the_corner_intersections(monkeypatch):
+def test_heawood_diameter_comparison_count():
+    """Work-count guard: one Heawood audit makes 237 exact comparisons (410
+    when every pair's route lines were intersected)."""
     g = generate_graph("heawood")
-    calls = []
-    intersect = graph_mod._intersect
-
-    def counting(*args):
-        calls.append(None)
-        return intersect(*args)
-
-    monkeypatch.setattr(graph_mod, "_intersect", counting)
-    assert point_diameter_check(g, g.whole(), g.table.pi()).ok
-    # 13,272 with every one of the 231 edge pairs enumerated
-    assert len(calls) <= 400
+    for v in g.vertices:
+        g.tree(v)
+    compare = mock.Mock(wraps=g.table.compare)
+    with mock.patch.object(g.table, "compare", compare):
+        assert point_diameter_check(g, g.whole(), g.table.pi()).ok
+    assert compare.call_count == 237
 
 
 def test_diameter_prune_keeps_a_pair_on_an_undecided_bound():
@@ -441,6 +443,165 @@ def test_diameter_prune_keeps_a_pair_on_an_undecided_bound():
     assert table.compare(h, table.rational(Rat(5, 2))) is Comparison.INDETERMINATE
     assert not graph_mod._pair_bounded(table, (h,), table.rational(Rat(5, 2)))
     assert graph_mod._pair_bounded(table, (h, table.rational(2)), table.rational(Rat(5, 2)))
+
+
+# The line enumeration that the closed form replaced, kept as a reference:
+# every distance between points of two edges is the minimum of linear route
+# functions in the two offsets, so the maximum lies where two constraint
+# lines meet; every such point in the edge rectangle is evaluated exactly.
+
+
+class _RefRoute:
+    """value(alpha, beta) = base + ca*alpha + cb*beta with ca, cb in {-1,0,1}."""
+
+    def __init__(self, base, ca, cb):
+        self.base, self.ca, self.cb = base, ca, cb
+
+    def at(self, alpha, beta):
+        val = self.base
+        if self.ca:
+            val = val + alpha if self.ca > 0 else val - alpha
+        if self.cb:
+            val = val + beta if self.cb > 0 else val - beta
+        return val
+
+
+class _RefLine:
+    """c0 + ca*alpha + cb*beta = 0 with small integer gradients."""
+
+    def __init__(self, c0, ca, cb):
+        self.c0, self.ca, self.cb = c0, ca, cb
+
+
+def _ref_gradient_difference(cx, x, cy, y):
+    if cy < 0:
+        return x.scale(cx) + y.scale(-cy)
+    return x.scale(cx) - y.scale(cy)
+
+
+def _ref_intersect(l1, l2):
+    det = l1.ca * l2.cb - l1.cb * l2.ca
+    if det == 0:
+        return None
+    alpha = _ref_gradient_difference(l1.cb, l2.c0, l2.cb, l1.c0)
+    beta = _ref_gradient_difference(l2.ca, l1.c0, l1.ca, l2.c0)
+    if det != 1:
+        inv = Rat(1, det)
+        alpha, beta = alpha.scale(inv), beta.scale(inv)
+    return alpha, beta
+
+
+def _ref_min_over_routes(routes, alpha, beta, table):
+    best = routes[0].at(alpha, beta)
+    for r in routes[1:]:
+        val = r.at(alpha, beta)
+        if graph_mod._strict_cmp(table, val, best) is Comparison.LESS:
+            best = val
+    return best
+
+
+def ref_point_diameter_check(graph, sub, bound):
+    """The audit by enumeration of route-line intersections, with the same
+    pair bound and the same first-maximiser rule."""
+    table = graph.table
+    strict = graph_mod._strict_cmp
+    zero = table.zero()
+    edges = sub.edges()
+    if not edges:
+        return graph_mod.DiameterResult(True, None, None)
+    trees = {w: graph.tree(w) for e in edges for w in (e.u, e.v)}
+    best = twice_best = best_pair = None
+    for i, e in enumerate(edges):
+        for f in edges[i:]:
+            a, b = e.length, f.length
+            uu, uv = trees[e.u].dist[f.u], trees[e.u].dist[f.v]
+            vu, vv = trees[e.v].dist[f.u], trees[e.v].dist[f.v]
+            if best is not None:
+                ab = a + b
+                if graph_mod._pair_bounded(table, (uu + vv + ab, uv + vu + ab), twice_best):
+                    continue
+            routes = [
+                _RefRoute(uu, 1, 1),
+                _RefRoute(uv + b, 1, -1),
+                _RefRoute(vu + a, -1, 1),
+                _RefRoute(vv + a + b, -1, -1),
+            ]
+            boundary = [
+                _RefLine(zero, 1, 0),
+                _RefLine(zero - a, 1, 0),
+                _RefLine(zero, 0, 1),
+                _RefLine(zero - b, 0, 1),
+            ]
+            if e is f:
+                domains = [
+                    (routes + [_RefRoute(zero, 1, -1)], boundary + [_RefLine(zero, 1, -1)], (1, -1)),
+                    (routes + [_RefRoute(zero, -1, 1)], boundary + [_RefLine(zero, 1, -1)], (-1, 1)),
+                ]
+            else:
+                domains = [(routes, boundary, None)]
+            for dom_routes, dom_boundary, half in domains:
+                lines = list(dom_boundary)
+                for rp, rq in itertools.combinations(dom_routes, 2):
+                    ca, cb = rp.ca - rq.ca, rp.cb - rq.cb
+                    if ca or cb:
+                        lines.append(_RefLine(rp.base - rq.base, ca, cb))
+                seen = set()
+                for l1, l2 in itertools.combinations(lines, 2):
+                    pt = _ref_intersect(l1, l2)
+                    if pt is None:
+                        continue
+                    alpha, beta = pt
+                    key = (alpha.key(), beta.key())
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if strict(table, alpha, zero) is Comparison.LESS:
+                        continue
+                    if strict(table, alpha, a) is Comparison.GREATER:
+                        continue
+                    if strict(table, beta, zero) is Comparison.LESS:
+                        continue
+                    if strict(table, beta, b) is Comparison.GREATER:
+                        continue
+                    if half is not None:
+                        d = alpha.scale(half[0]) + beta.scale(half[1])
+                        if strict(table, d, zero) is Comparison.LESS:
+                            continue
+                    val = _ref_min_over_routes(dom_routes, alpha, beta, table)
+                    if best is None or strict(table, val, best) is Comparison.GREATER:
+                        best, twice_best = val, val.scale(2)
+                        best_pair = (PointOnGraph(e.id, alpha), PointOnGraph(f.id, beta))
+    ok = strict(table, best, bound) is not Comparison.GREATER
+    return graph_mod.DiameterResult(ok, best, None if ok else best_pair)
+
+
+def _diameter_outcome(check, g, sub, bound):
+    try:
+        return _diameter_facts(check(g, sub, bound))
+    except PrecisionExhausted as exc:
+        return ("raises", str(exc))
+
+
+def assert_diameter_matches_the_reference(g, sub, bound):
+    """Where the enumeration decides, the closed form gives the same
+    verdict, maximum and witness; where it raises, the closed form raises
+    the same error or decides, with its witness pair (reported at bound 0)
+    exactly the maximum apart."""
+    ref = _diameter_outcome(ref_point_diameter_check, g, sub, bound)
+    new = _diameter_outcome(point_diameter_check, g, sub, bound)
+    if ref[0] != "raises":
+        assert new == ref
+    elif new != ref:
+        res = point_diameter_check(g, sub, g.table.zero())
+        assert res.max_distance == new[1]
+        assert point_distance(g, *res.witness) == res.max_distance
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+def test_diameter_matches_the_line_enumeration(name):
+    g = DIFFERENTIAL_GRAPHS[name]()
+    for bound in (g.table.zero(), g.table.pi()):
+        assert_diameter_matches_the_reference(g, g.whole(), bound)
 
 
 def test_off_lattice_cycles_break_the_point_diameter():
@@ -799,11 +960,11 @@ def _search_outcome(search, *args):
 
 
 @st.composite
-def symbol_graph_text(draw):
-    """Graph files of 2 to 7 vertices with loops and parallel edges, whose
-    lengths are rational, multiples of PI, or a decimal symbol that never
-    refines (so some orders cannot be decided)."""
-    n = draw(st.integers(min_value=2, max_value=7))
+def symbol_graph_text(draw, min_vertices=2):
+    """Graph files of ``min_vertices`` to 7 vertices with loops and parallel
+    edges, whose lengths are rational, multiples of PI, or a decimal symbol
+    that never refines (so some orders cannot be decided)."""
+    n = draw(st.integers(min_value=min_vertices, max_value=7))
     verts = [f"v{i}" for i in range(n)]
     forms = ["{k}/4", "{k}/6*PI", "{k}/4*h", "{k}/4 + {k}/6*PI", "1 + {k}/8*h"]
 
@@ -813,7 +974,7 @@ def symbol_graph_text(draw):
 
     lines = ["symbol h 1 err 1/100"] + [f"vertex {v}" for v in verts]
     lines += [f"edge c{i} {verts[i]} {verts[i + 1]} {length()}" for i in range(n - 1)]
-    for k in range(draw(st.integers(min_value=0, max_value=5))):
+    for k in range(draw(st.integers(min_value=0 if n > 1 else 1, max_value=5))):
         i = draw(st.integers(min_value=0, max_value=n - 1))
         j = draw(st.integers(min_value=0, max_value=n - 1))
         lines.append(f"edge x{k} {verts[i]} {verts[j]} {length()}")
@@ -831,6 +992,24 @@ def test_settle_order_path_counts_match_the_sorted_pass(text):
         for skip in [None] + [e.id for e in g.edges]:
             new = _search_outcome(dijkstra, g, source, skip)
             assert new == _search_outcome(ref_dijkstra, g, source, skip)
+
+
+def assert_every_pair_matches_the_reference(g):
+    """The differential on the whole graph at bounds 0 and PI, and at bound
+    0, where the witness is always reported, on each edge and edge pair;
+    the distances still run through the whole graph."""
+    zero = g.table.zero()
+    for bound in (zero, g.table.pi()):
+        assert_diameter_matches_the_reference(g, g.whole(), bound)
+    for pair in itertools.combinations_with_replacement([e.id for e in g.edges], 2):
+        assert_diameter_matches_the_reference(g, Subgraph(g, pair), zero)
+
+
+@given(symbol_graph_text(min_vertices=1))
+@settings(max_examples=80, deadline=None)
+def test_diameter_matches_the_line_enumeration_on_multigraphs(text):
+    # at the first rung alone an undecidable comparison costs one enclosure
+    assert_every_pair_matches_the_reference(parse_graph(text, precision_bits=64))
 
 
 def test_heawood_dijkstra_comparison_count():
@@ -1093,3 +1272,9 @@ def lattice_graph(draw):
 @settings(max_examples=80, deadline=None)
 def test_enumerations_match_the_references_on_multigraphs(edge_list):
     assert_enumerations_match(build(edge_list))
+
+
+@given(lattice_graph())
+@settings(max_examples=40, deadline=None)
+def test_diameter_matches_the_line_enumeration_on_lattice_multigraphs(edge_list):
+    assert_every_pair_matches_the_reference(build(edge_list))
