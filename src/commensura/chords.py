@@ -1,4 +1,4 @@
-"""Chords of immersed loops and of subgraphs.
+"""Chords of immersed loops and of disjoint cycle pairs.
 
 A chord of a closed walk joins two of its branch-vertex visits by a short
 geodesic (length strictly between 0 and pi) that escapes the walk at both
@@ -24,7 +24,6 @@ from .graph import (
     BarTriple,
     Cycle,
     MetricGraph,
-    Subgraph,
     germ_source,
     germ_target,
     reverse_germ,
@@ -185,51 +184,34 @@ def chords_of_loop(loop: ImmersedLoop) -> list[Chord]:
     return [ch for chords in from_start for ch in chords]
 
 
-@dataclass(frozen=True)
-class SubgraphChord:
-    """Directed, like Chord, but anchored at vertices of a subgraph."""
-
-    x: str
-    y: str
-    distance: Scalar
-    ratio: Optional[Rat]
-    z: Scalar
-    geodesic: tuple
-
-    def square_area(self) -> Area:
-        return (self.z * self.z).scale(2)
-
-    def as_report(self) -> dict:
-        return {
-            "source": self.x,
-            "target": self.y,
-            "distance": format_scalar(self.distance),
-            "pi_ratio": None if self.ratio is None else str(self.ratio),
-            "side": format_scalar(self.z),
-        }
-
-
-def chords_of_subgraph(graph: MetricGraph, sub: Subgraph) -> list[SubgraphChord]:
-    """Short geodesics between subgraph vertices leaving the subgraph at
-    both ends (first and last geodesic edge outside it)."""
-    verts = list(sub.vertices)
-    trees = [graph.tree(v) for v in verts]  # every tree first, as in chords_of_loop
-    out: list[SubgraphChord] = []
-    for i, x in enumerate(verts):
+def cross_chords(loop1: ImmersedLoop, loop2: ImmersedLoop) -> list[Chord]:
+    """The chords from the visits of one cycle loop to those of a second,
+    vertex-disjoint one, ordered by the vertex order of source, then target.
+    Each vertex pair is tested from the tree of its lower-ordered vertex, in
+    vertex order, so a tie or an undecided test raises on the first one."""
+    graph = loop1.graph
+    order = graph.vertex_order
+    tagged = [(vis, True) for vis in loop1.visits] + [(vis, False) for vis in loop2.visits]
+    tagged.sort(key=lambda item: order(item[0].vertex))
+    trees = [graph.tree(vis.vertex) for vis, _ in tagged]  # every tree first
+    out: list[Chord] = []
+    for i, (a, a_first) in enumerate(tagged):
         tree = trees[i]
-        for y in verts[i + 1:]:
+        for b, b_first in tagged[i + 1:]:
+            if a_first == b_first:
+                continue
+            y = b.vertex
             hit = tree.short[y] if y in tree.short else _geodesic_between(graph, tree, y)
             if hit is None:
                 continue
             d0, ratio, path, z, back = hit
-            if path[0][0].id in sub.edge_set:
+            # chords_of_loop's escape test: the cycles share no vertex, so at
+            # a visit the pair's edges are exactly the visit's two germs
+            if path[0] in a.germs or back[0] in b.germs:
                 continue
-            if path[-1][0].id in sub.edge_set:
-                continue
-            out.append(SubgraphChord(x, y, d0, ratio, z, path))
-            out.append(SubgraphChord(y, x, d0, ratio, z, back))
-    order = {v: i for i, v in enumerate(verts)}
-    out.sort(key=lambda ch: (order[ch.x], order[ch.y]))
+            s, t, geodesic = (a, b, path) if a_first else (b, a, back)
+            out.append(Chord(s, t, d0, ratio, z, geodesic))
+    out.sort(key=lambda ch: (order(ch.s.vertex), order(ch.t.vertex)))
     return out
 
 

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from ._rat import Rat
-from .chords import chords_of_loop, chords_of_subgraph, loop_from_cycle
+from .chords import chords_of_loop, cross_chords, loop_from_cycle
 from .dehn import (
     CommensurableVerdict,
     QRCommensurable,
@@ -435,8 +435,8 @@ def _cmd_tile(args) -> int:
         c2 = _find_cycle(graph, args.pair[1], args.cycle_cap)
         if not c1.vertices.isdisjoint(c2.vertices):
             raise UsageError("the two cycles are not disjoint")
-        union = Subgraph(graph, tuple(sorted(c1.edge_ids | c2.edge_ids)))
-        product = product_tiling(graph, c1, c2, chords_of_subgraph(graph, union))
+        chords = cross_chords(loop_from_cycle(graph, c1), loop_from_cycle(graph, c2))
+        product = product_tiling(graph, c1, c2, chords)
         report = verify_tiling(product, args.cycle_cap)
         chain = [("product", product, report)]
         if report.ok:

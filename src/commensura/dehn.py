@@ -121,19 +121,21 @@ def verify_measure_tiling(t: MeasureTiling, skip_square: frozenset[int] = frozen
     skip_square names pieces allowed to be non-square (audited rectangles).
     """
     nx, ny = len(t.x_names), len(t.y_names)
-    count = [[0] * ny for _ in range(nx)]
-    for a, b in t.pieces:
+    # one row of cover counts at a time, from the pieces over each X element
+    over: list[list[int]] = [[] for _ in range(nx)]
+    for i, (a, _) in enumerate(t.pieces):
         for j in a:
-            row = count[j]
-            for k in b:
-                row[k] += 1
+            over[j].append(i)
     for j in range(nx):
-        for k in range(ny):
-            c = count[j][k]
+        row = [0] * ny
+        for i in over[j]:
+            for k in t.pieces[i][1]:
+                row[k] += 1
+        for k, c in enumerate(row):
             if c == 0:
                 return MeasureVerdict("uncovered", x_index=j, y_index=k)
             if c > 1:
-                covering = tuple(i for i, (a, b) in enumerate(t.pieces) if j in a and k in b)
+                covering = tuple(i for i in over[j] if k in t.pieces[i][1])
                 return MeasureVerdict("doubly-covered", x_index=j, y_index=k, piece_indices=covering)
     for i in range(len(t.pieces)):
         if i in skip_square:

@@ -23,7 +23,7 @@ from .chords import (
     bar_loop,
     chord_budgets,
     chords_of_loop,
-    chords_of_subgraph,
+    cross_chords,
     loop_from_cycle,
 )
 from .dehn import (
@@ -354,7 +354,10 @@ class PairAnalysis:
         return {
             "cycle1": [g[0].id for g in self.cycle1.steps],
             "cycle2": [g[0].id for g in self.cycle2.steps],
-            "chords": [ch.as_report() for ch in self.chords],
+            "chords": [  # the chord ends, without their positions
+                {k: v for k, v in ch.as_report().items() if not k.endswith("_position")}
+                for ch in self.chords
+            ],
             "product_tiling": self.product_report.status,
             "lift_counts": list(self.lift_counts),
             "axis_tiling": self.axis_report.status,
@@ -369,16 +372,14 @@ def analyze_cycle_pair(
     the translates of its torus form."""
     if not cycle1.vertices.isdisjoint(cycle2.vertices):
         raise ValueError("cycles share vertices; only disjoint pairs have a product claim")
-    sub = Subgraph(graph, tuple(sorted(cycle1.edge_ids | cycle2.edge_ids)))
-    all_chords = chords_of_subgraph(graph, sub)
-    cross = [ch for ch in all_chords if ch.x in cycle1.vertices and ch.y in cycle2.vertices]
+    cross = cross_chords(loop_from_cycle(graph, cycle1), loop_from_cycle(graph, cycle2))
     for ch in cross:
         if ch.ratio is None:
             raise InternalInconsistency(
-                f"cross chord {ch.x}-{ch.y} has length {format_scalar(ch.distance)},"
+                f"cross chord {ch.s.vertex}-{ch.t.vertex} has length {format_scalar(ch.distance)},"
                 " not a rational multiple of PI"
             )
-    product = product_tiling(graph, cycle1, cycle2, all_chords)
+    product = product_tiling(graph, cycle1, cycle2, cross)
     product_report = verify_tiling(product, cap)
     if not product_report.ok:
         raise InternalInconsistency(

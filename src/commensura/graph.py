@@ -538,8 +538,9 @@ class Cycle:
     edge_ids: frozenset
     length: Scalar
 
-    # computed once per cycle: the disjoint-pair scan reads them per pair;
-    # the cache lives outside the fields, so equality and hashing ignore it
+    # computed once per cycle: the disjoint-pair scan reads the vertices per
+    # pair, and the bar order reads the sort key twice per bar; the cache
+    # lives outside the fields, so equality and hashing ignore it
     @cached_property
     def vertex_seq(self) -> tuple[str, ...]:
         return tuple(germ_source(g) for g in self.steps)
@@ -548,8 +549,12 @@ class Cycle:
     def vertices(self) -> frozenset:
         return frozenset(self.vertex_seq)
 
-    def sort_key(self) -> tuple:
+    @cached_property
+    def _sort_key(self) -> tuple:
         return (len(self.steps), tuple(sorted(self.edge_ids)))
+
+    def sort_key(self) -> tuple:
+        return self._sort_key
 
 
 def _canonical_cycle(graph: MetricGraph, germs: list[Germ]) -> Cycle:

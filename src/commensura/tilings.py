@@ -32,7 +32,7 @@ from typing import Optional
 from ._rat import Rat
 from .dehn import MeasureTiling
 from .errors import EnumerationCapExceeded, InternalInconsistency
-from .graph import DEFAULT_CYCLE_CAP, BarTriple, Cycle, MetricGraph, germ_source
+from .graph import DEFAULT_CYCLE_CAP, BarTriple, Cycle, MetricGraph
 from .scalars import (
     Area,
     Comparison,
@@ -215,42 +215,19 @@ def annulus_tiling(loop, chords, bar: Optional[BarTriple] = None) -> GeometricTi
     return GeometricTiling(table, region, tuple(pieces))
 
 
-def _cycle_positions(graph: MetricGraph, cycle: Cycle) -> dict:
-    out = {}
-    pos = graph.table.zero()
-    for g in cycle.steps:
-        v = germ_source(g)
-        if v in out:
-            raise ValueError("cycle visits a vertex twice; positions are ambiguous")
-        out[v] = pos
-        pos = pos + g[0].length
-    return out
-
-
 def product_tiling(
     graph: MetricGraph, cycle1: Cycle, cycle2: Cycle, chords
 ) -> GeometricTiling:
-    """One square per chord running from the first cycle to the second.
-
-    Chord records pointing the other way (or within one cycle) are
-    dropped, so the full directed output of the chord scan can be passed
-    straight in.
-    """
-    pos1 = _cycle_positions(graph, cycle1)
-    pos2 = _cycle_positions(graph, cycle2)
-    if set(pos1) & set(pos2):
+    """One square per chord running from the first cycle to the second
+    (``chords.cross_chords``), centred at its two visit positions."""
+    if not cycle1.vertices.isdisjoint(cycle2.vertices):
         raise ValueError("cycles are not disjoint")
-    table = graph.table
-    pieces = []
-    k = 0
-    for ch in chords:
-        if ch.x in pos1 and ch.y in pos2:
-            pieces.append(
-                DiamondPiece(f"chord{k}", (pos1[ch.x], pos2[ch.y]), ch.z, ch.z)
-            )
-            k += 1
+    pieces = tuple(
+        DiamondPiece(f"chord{k}", (ch.s.position, ch.t.position), ch.z, ch.z)
+        for k, ch in enumerate(chords)
+    )
     region = ProductRegion(cycle1.length, cycle2.length)
-    return GeometricTiling(table, region, tuple(pieces))
+    return GeometricTiling(graph.table, region, pieces)
 
 
 def _lift_counts(region: ProductRegion):

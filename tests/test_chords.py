@@ -6,6 +6,7 @@ directly.  It shares nothing with the Dijkstra-based implementation.
 """
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,15 +16,24 @@ from hypothesis import strategies as st
 
 from commensura.chords import (
     ImmersedLoop,
+    _geodesic_between,
     bar_loop,
     chord_budgets,
     chords_of_loop,
-    chords_of_subgraph,
+    cross_chords,
     loop_from_cycle,
 )
-from commensura.errors import InternalInconsistency
+from commensura.errors import InternalInconsistency, PrecisionExhausted
 from commensura.generators import generate
-from commensura.graph import Subgraph, bars_of, cycles_of, disjoint_pairs, girth, parse_graph
+from commensura.graph import (
+    Subgraph,
+    bars_of,
+    cycles_of,
+    disjoint_pairs,
+    girth,
+    parse_graph,
+    serialize_graph,
+)
 from commensura.scalars import Comparison, Scalar
 from commensura.tilings import annulus_tiling
 
@@ -97,6 +107,30 @@ def oracle_loop_chords(g, loop):
                 continue
             found.append((a.index, b.index, d0.key()))
     return sorted(found)
+
+
+def ref_chords_of_subgraph(graph, sub):
+    """The subgraph chord scan that cross_chords replaced, kept as its
+    reference: short geodesics between subgraph vertices whose first and
+    last edges lie outside the subgraph, both directions, as (source,
+    target, distance, ratio, z, geodesic) in vertex order."""
+    verts = list(sub.vertices)
+    trees = [graph.tree(v) for v in verts]
+    out = []
+    for i, x in enumerate(verts):
+        tree = trees[i]
+        for y in verts[i + 1:]:
+            hit = tree.short[y] if y in tree.short else _geodesic_between(graph, tree, y)
+            if hit is None:
+                continue
+            d0, ratio, path, z, back = hit
+            if path[0][0].id in sub.edge_set or path[-1][0].id in sub.edge_set:
+                continue
+            out.append((x, y, d0, ratio, z, path))
+            out.append((y, x, d0, ratio, z, back))
+    order = {v: i for i, v in enumerate(verts)}
+    out.sort(key=lambda ch: (order[ch[0]], order[ch[1]]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +288,6 @@ def test_nonunique_short_geodesic_raises_on_every_query():
     for _ in range(3):
         with pytest.raises(InternalInconsistency, match="two geodesics"):
             chords_of_loop(loop_from_cycle(graph, cyc))
-        with pytest.raises(InternalInconsistency, match="two geodesics"):
-            chords_of_subgraph(graph, Subgraph(graph, tuple(cyc.edge_ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,41 +302,42 @@ MEMO_GRAPHS = {
 }
 
 
+def _steps(loop):
+    return tuple((e.id, end) for e, end in loop.steps)
+
+
 @lru_cache(maxsize=None)
 def _query_pool(name):
-    """Every cycle loop, bar loop, cycle subgraph and disjoint-pair
-    subgraph of a graph, as edge ids that any parse of it can rebuild."""
+    """Every cycle loop, bar loop and disjoint cycle pair (in both orders)
+    of a graph, as germ steps that any parse of it can rebuild."""
     g = parse_graph(MEMO_GRAPHS[name])
     sub = g.whole()
     cycles = cycles_of(sub)
+    pairs = disjoint_pairs(cycles)
     loops = [loop_from_cycle(g, c) for c in cycles]
-    loops += [bar_loop(g, b) for b in bars_of(sub, disjoint_pairs(cycles))]
-    pool = [("loop", tuple((e.id, end) for e, end in lp.steps)) for lp in loops]
-    pool += [("sub", tuple(sorted(c.edge_ids))) for c in cycles]
+    loops += [bar_loop(g, b) for b in bars_of(sub, pairs)]
+    pool = [("loop", (_steps(lp),)) for lp in loops]
     pool += [
-        ("sub", tuple(sorted(c1.edge_ids | c2.edge_ids)))
-        for i, c1 in enumerate(cycles)
-        for c2 in cycles[i + 1:]
-        if not c1.vertices & c2.vertices
+        ("pair", (_steps(loop_from_cycle(g, p)), _steps(loop_from_cycle(g, q))))
+        for c1, c2 in pairs
+        for p, q in ((c1, c2), (c2, c1))
     ]
-    pool.append(("sub", tuple(e.id for e in g.edges)))
     return pool
 
 
 def _chord_answer(graph, query):
     kind, data = query
+    loops = [
+        ImmersedLoop(graph, [(graph.edge_by_id[eid], end) for eid, end in steps]) for steps in data
+    ]
     try:
-        if kind == "loop":
-            loop = ImmersedLoop(graph, [(graph.edge_by_id[eid], end) for eid, end in data])
-            chords = chords_of_loop(loop)
-            return [
-                (c.s.index, c.t.index, c.as_report(), [(g[0].id, g[1]) for g in c.geodesic])
-                for c in chords
-            ]
-        chords = chords_of_subgraph(graph, Subgraph(graph, data))
-        return [(c.as_report(), [(g[0].id, g[1]) for g in c.geodesic]) for c in chords]
+        chords = chords_of_loop(*loops) if kind == "loop" else cross_chords(*loops)
     except InternalInconsistency as exc:
         return ("raises", str(exc))
+    return [
+        (c.s.index, c.t.index, c.as_report(), [(g[0].id, g[1]) for g in c.geodesic])
+        for c in chords
+    ]
 
 
 @settings(max_examples=12, deadline=None)
@@ -321,10 +354,12 @@ def test_chord_memo_matches_a_fresh_graph_per_query(name, seed):
 
 
 def test_add_edge_drops_the_chord_memo():
-    # a ring of six pi/3 edges: opposite vertices sit exactly pi apart
+    # a ring of six pi/3 edges with a long spoke v0-v3, so both branch:
+    # opposite vertices sit exactly pi apart
     g = circle(6, {1: Fraction(1, 3)})
-    ring = tuple(e.id for e in g.edges)
-    assert chords_of_subgraph(g, Subgraph(g, ring)) == []
+    g.add_edge("spoke", "v0", "v3", g.table.pi(2))
+    ring = next(c for c in cycles_of(g.whole()) if "spoke" not in c.edge_ids)
+    assert chords_of_loop(loop_from_cycle(g, ring)) == []
     old = g.tree("v0")
     assert old.short  # the answers were kept on the tree
     g.add_vertex("c")
@@ -332,8 +367,8 @@ def test_add_edge_drops_the_chord_memo():
     assert not g.tree("v0").short
     g.add_edge("s2", "c", "v3", g.table.pi(Fraction(1, 4)))
     assert g.tree("v0") is not old and not g.tree("v0").short
-    chords = chords_of_subgraph(g, Subgraph(g, ring))
-    assert {(c.x, c.y) for c in chords} == {("v0", "v3"), ("v3", "v0")}
+    chords = chords_of_loop(loop_from_cycle(g, ring))
+    assert {(c.s.vertex, c.t.vertex) for c in chords} == {("v0", "v3"), ("v3", "v0")}
     assert all(c.distance == g.table.pi(Fraction(1, 2)) for c in chords)
 
 
@@ -380,29 +415,30 @@ def test_ambient_shortcut_gives_four_bar_chords():
 
 
 # ---------------------------------------------------------------------------
-# subgraph chords
+# cross chords of disjoint cycle pairs
 # ---------------------------------------------------------------------------
 
 
 def test_k44_cross_chords():
     g = k44()
-    both = g.subgraph("both")
-    chords = chords_of_subgraph(g, both)
-    assert len(chords) == 16
-    c1_verts = set(g.subgraph("c1").vertices)
-    c2_verts = set(g.subgraph("c2").vertices)
+    (c1,) = cycles_of(g.subgraph("c1"))
+    (c2,) = cycles_of(g.subgraph("c2"))
+    loop1, loop2 = loop_from_cycle(g, c1), loop_from_cycle(g, c2)
+    chords = cross_chords(loop1, loop2)
+    assert len(chords) == 8  # the second cycle's mirrors are not cross chords
     for c in chords:
         assert c.distance == g.table.pi(Fraction(1, 2))
         assert c.z == g.table.pi(Fraction(1, 2))
         assert len(c.geodesic) == 1
-        endpoints = {c.x, c.y}
-        assert len(endpoints & c1_verts) == 1
-        assert len(endpoints & c2_verts) == 1
+        assert c.s in loop1.visits and c.t in loop2.visits
+    order = g.vertex_order
+    keys = [(order(c.s.vertex), order(c.t.vertex)) for c in chords]
+    assert keys == sorted(keys)
 
 
-def test_subgraph_chords_respect_edge_escape():
-    # a triangle with one extra parallel edge: the short alternative stays
-    # outside the subgraph, so it counts; the subgraph's own edges never do
+def test_loop_chords_respect_edge_escape():
+    # a triangle with one extra parallel edge: the short alternative leaves
+    # the loop, so it counts; the loop's own edges never do
     g = build(
         [
             ("t1", "a", "b", {1: Fraction(1, 3)}),
@@ -410,23 +446,88 @@ def test_subgraph_chords_respect_edge_escape():
             ("t3", "c", "a", {1: Fraction(1, 3)}),
             ("d", "a", "b", {1: Fraction(1, 4)}),
         ],
-        subgraphs={"tri": ["t1", "t2", "t3"]},
     )
-    chords = chords_of_subgraph(g, g.subgraph("tri"))
+    tri = next(c for c in cycles_of(g.whole()) if c.edge_ids == {"t1", "t2", "t3"})
+    chords = chords_of_loop(loop_from_cycle(g, tri))
     assert len(chords) == 2
-    assert {(c.x, c.y) for c in chords} == {("a", "b"), ("b", "a")}
+    assert {(c.s.vertex, c.t.vertex) for c in chords} == {("a", "b"), ("b", "a")}
     for c in chords:
         assert c.distance == g.table.pi(Fraction(1, 4))
         assert c.geodesic[0][0].id == "d"
 
 
-def test_subgraph_chord_oracle_octagon():
-    g = octagon_with_shortcuts()
-    ring = g.subgraph("ring")
-    chords = chords_of_subgraph(g, ring)
-    assert sorted((c.x, c.y) for c in chords) == sorted(
-        [(f"v{i}", f"v{(i + 4) % 8}") for i in range(8)]
-    )
+def _k44_with_a_tie():
+    # a second u1-x3 edge: two geodesics of length pi/2 join u1 and x3
+    g = k44()
+    g.add_edge("p", "u1", "x3", g.table.pi(Fraction(1, 2)))
+    return serialize_graph(g)
+
+
+def _split_k44(a_last):
+    from test_engine import _mixed_k44  # test_engine imports this module
+
+    return _mixed_k44(a_last)
+
+
+CROSS_GRAPHS = {
+    "heawood": lambda: generate("heawood"),
+    "k44": lambda: serialize_graph(k44()),
+    "k44-tie": _k44_with_a_tie,
+    "k44-split-a-first": lambda: _split_k44(False),
+    "k44-split-a-last": lambda: _split_k44(True),
+    "perturbed": lambda: MEMO_GRAPHS["perturbed"],
+    "theta-mixed": lambda: MEMO_GRAPHS["theta-mixed"],
+}
+
+
+def _cross_answer(query):
+    try:
+        chords = query()
+    except (InternalInconsistency, PrecisionExhausted) as exc:
+        return ("raises", type(exc), str(exc))
+    return [
+        (s, t, d.key(), ratio, z.key(), [(e.id, end) for e, end in geodesic])
+        for s, t, d, ratio, z, geodesic in chords
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_GRAPHS))
+def test_cross_chords_match_the_subgraph_reference(name):
+    """Differential: on every disjoint cycle pair, in both orders, the cross
+    chords are the reference's chords from the first cycle to the second,
+    in its order, or both raise the same error.  The reference also tests
+    the vertex pairs within one cycle, so it may raise on a tie there where
+    cross_chords does not.  Each side has its own parse, so neither reads
+    the other's memo."""
+    text = CROSS_GRAPHS[name]()
+    g_ref, g_new = parse_graph(text), parse_graph(text)
+    pairs_ref = disjoint_pairs(cycles_of(g_ref.whole()))
+    pairs_new = disjoint_pairs(cycles_of(g_new.whole()))
+    assert [(c1.edge_ids, c2.edge_ids) for c1, c2 in pairs_ref] == [
+        (c1.edge_ids, c2.edge_ids) for c1, c2 in pairs_new
+    ]
+    compared = 0
+    for (r1, r2), (n1, n2) in zip(pairs_ref, pairs_new):
+        for (p, q), (x, y) in (((r1, r2), (n1, n2)), ((r2, r1), (n2, n1))):
+            union = Subgraph(g_ref, tuple(sorted(p.edge_ids | q.edge_ids)))
+
+            def ref(p=p, q=q, union=union):
+                chords = ref_chords_of_subgraph(g_ref, union)
+                return [ch for ch in chords if ch[0] in p.vertices and ch[1] in q.vertices]
+
+            def new(x=x, y=y):
+                loop1, loop2 = loop_from_cycle(g_new, x), loop_from_cycle(g_new, y)
+                chords = cross_chords(loop1, loop2)
+                assert all(c.s in loop1.visits and c.t in loop2.visits for c in chords)
+                return [(c.s.vertex, c.t.vertex, c.distance, c.ratio, c.z, c.geodesic) for c in chords]
+
+            got, want = _cross_answer(new), _cross_answer(ref)
+            if got != want:
+                assert want[0] == "raises", (got, want)
+                tied = re.search(r"join (\S+) and (\S+);", want[2]).groups()
+                assert set(tied) <= p.vertices or set(tied) <= q.vertices
+            compared += 1
+    assert compared == 2 * len(pairs_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -299,9 +299,9 @@ def test_tile_plot_export(capsys, tmp_path, heawood_path):
     ids=["area-mismatch", "gap", "overlap"],
 )
 def test_tile_pair_of_perturbed_hexagons(capsys, tmp_path, delta, lifts, verdict):
-    from commensura.chords import chords_of_subgraph
+    from commensura.chords import cross_chords, loop_from_cycle
     from commensura.generators import build
-    from commensura.graph import Subgraph, cycles_of
+    from commensura.graph import cycles_of
     from commensura.tilings import product_tiling, psi_transform
 
     pair = ("e0,e10,e11,e6,e7,e1", "e3,e15,e17,e14,e13,e5")
@@ -322,8 +322,8 @@ def test_tile_pair_of_perturbed_hexagons(capsys, tmp_path, delta, lifts, verdict
             next(c for c in cycles_of(g.whole()) if c.edge_ids == set(spec.split(",")))
             for spec in pair
         )
-        union = Subgraph(g, tuple(sorted(c1.edge_ids | c2.edge_ids)))
-        product = product_tiling(g, c1, c2, chords_of_subgraph(g, union))
+        chords = cross_chords(loop_from_cycle(g, c1), loop_from_cycle(g, c2))
+        product = product_tiling(g, c1, c2, chords)
         assert psi_transform(product).region.lift_counts == lifts
 
 

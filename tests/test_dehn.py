@@ -6,7 +6,10 @@ measure tiling is rebuilt here from raw integer geometry, independent of
 the module under test.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -625,3 +628,94 @@ def test_measure_tiling_parse_rejects_silent_overrides(text, fragment):
 def test_measure_tiling_same_name_in_both_spaces_is_allowed():
     t = parse_measure_tiling("space X a=1\nspace Y a=1\npiece A={a} B={a}\n")
     assert t.pieces == [(frozenset({0}), frozenset({0}))]
+
+
+# ---------------------------------------------------------------------------
+# the coverage check against the dense count matrix it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_verify_measure_tiling(t, skip_square=frozenset()):
+    """Reference: the whole nx x ny count matrix, then the same scan."""
+    nx, ny = len(t.x_names), len(t.y_names)
+    count = [[0] * ny for _ in range(nx)]
+    for a, b in t.pieces:
+        for j in a:
+            for k in b:
+                count[j][k] += 1
+    for j in range(nx):
+        for k in range(ny):
+            c = count[j][k]
+            if c == 0:
+                return dehn.MeasureVerdict("uncovered", x_index=j, y_index=k)
+            if c > 1:
+                covering = tuple(i for i, (a, b) in enumerate(t.pieces) if j in a and k in b)
+                return dehn.MeasureVerdict("doubly-covered", x_index=j, y_index=k, piece_indices=covering)
+    for i in range(len(t.pieces)):
+        if i not in skip_square and t.mu_a(i) != t.mu_b(i):
+            return dehn.MeasureVerdict("not-square", piece_indices=(i,))
+    return dehn.MeasureVerdict("ok")
+
+
+def _random_blocks(rng, n):
+    """A random partition of range(n) into nonempty blocks."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    idx = list(range(n))
+    rng.shuffle(idx)
+    return [set(idx[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+
+
+@given(seed=st.integers(0, 10**6), nx=st.integers(1, 6), ny=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_row_coverage_matches_the_dense_reference(seed, nx, ny):
+    """Differential on exact product coverings, then with a piece dropped,
+    duplicated or added: the same verdict, cell and covering pieces."""
+    rng = random.Random(seed)
+    table = SymbolTable()
+    pieces = [(a, b) for a in _random_blocks(rng, nx) for b in _random_blocks(rng, ny)]
+    rng.shuffle(pieces)
+    move = rng.choice(["none", "drop", "duplicate", "add"])
+    if move == "drop" and len(pieces) > 1:
+        pieces.pop(rng.randrange(len(pieces)))
+    elif move == "duplicate":
+        pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(pieces))
+    elif move == "add":
+        a = set(rng.sample(range(nx), rng.randint(1, nx)))
+        b = set(rng.sample(range(ny), rng.randint(1, ny)))
+        pieces.insert(rng.randrange(len(pieces) + 1), (a, b))
+    xs = [(f"x{j}", table.rational(rng.randint(1, 3))) for j in range(nx)]
+    ys = [(f"y{k}", table.rational(rng.randint(1, 3))) for k in range(ny)]
+    t = MeasureTiling(table, xs, ys, pieces)
+    skip = frozenset(i for i in range(len(pieces)) if rng.random() < 0.3)
+    assert verify_measure_tiling(t, skip) == ref_verify_measure_tiling(t, skip)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_large_one_piece_tiling_verifies_in_bounded_memory(tmp_path):
+    """3000 X by 3000 Y elements under one piece: a dense count matrix
+    needs about 90 MB here, one row at a time about 20 MB."""
+    n = 3000
+    xs = " ".join(f"x{i}=1" for i in range(n))
+    ys = " ".join(f"y{i}=1" for i in range(n))
+    a = ",".join(f"x{i}" for i in range(n))
+    b = ",".join(f"y{i}" for i in range(n))
+    path = tmp_path / "big.tiling"
+    path.write_text(f"space X {xs}\nspace Y {ys}\npiece A={{{a}}} B={{{b}}}\n")
+    # the peak RSS of the child's own image: ru_maxrss would also count the
+    # forked copy of this process that exec replaced
+    code = (
+        "import sys\n"
+        "from commensura.cli import main\n"
+        "status = main(['--format', 'machine', 'dehn', sys.argv[1]])\n"
+        "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(status, *hwm, file=sys.stderr)\n"
+    )
+    src = os.path.join(os.path.dirname(dehn.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    status, peak_kb = done.stderr.split()[-2:]
+    assert status == "0"
+    assert '"status": "ok"' in done.stdout
+    assert int(peak_kb) < 48 * 1024

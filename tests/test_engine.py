@@ -20,7 +20,7 @@ from commensura.engine import (
 from commensura import generators
 from commensura import scalars as scalars_mod
 from commensura import chords as chords_mod
-from commensura.chords import bar_loop, chords_of_loop, chords_of_subgraph, loop_from_cycle
+from commensura.chords import bar_loop, chords_of_loop, cross_chords, loop_from_cycle
 from commensura.errors import (
     EnumerationCapExceeded,
     InternalInconsistency,
@@ -794,22 +794,20 @@ CHORD_RATIO_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(CHORD_RATIO_GRAPHS))
 def test_chord_ratio_is_the_direct_pi_ratio(name):
     """Differential: the ratio each chord carries from the per-pair memo
-    equals pi_ratio of its distance, on every cycle loop, bar loop, cycle
-    subgraph, disjoint-pair subgraph and the whole graph."""
+    equals pi_ratio of its distance, on every cycle loop, bar loop and
+    disjoint cycle pair, in both orders."""
     g = parse_graph(CHORD_RATIO_GRAPHS[name])
     sub = g.whole()
     cycles = cycles_of(sub)
-    bars = bars_of(sub, disjoint_pairs(cycles))
+    pairs = disjoint_pairs(cycles)
+    bars = bars_of(sub, pairs)
     loops = [loop_from_cycle(g, c) for c in cycles] + [bar_loop(g, b) for b in bars]
-    subs = [Subgraph(g, tuple(sorted(c.edge_ids))) for c in cycles] + [sub]
-    subs += [
-        Subgraph(g, tuple(sorted(c1.edge_ids | c2.edge_ids)))
-        for i, c1 in enumerate(cycles)
-        for c2 in cycles[i + 1:]
-        if not c1.vertices & c2.vertices
-    ]
     queries = [lambda lp=lp: chords_of_loop(lp) for lp in loops]
-    queries += [lambda s=s: chords_of_subgraph(g, s) for s in subs]
+    queries += [
+        lambda p=p, q=q: cross_chords(loop_from_cycle(g, p), loop_from_cycle(g, q))
+        for c1, c2 in pairs
+        for p, q in ((c1, c2), (c2, c1))
+    ]
     seen = 0
     for query in queries:
         try:

@@ -1278,3 +1278,16 @@ def test_enumerations_match_the_references_on_multigraphs(edge_list):
 @settings(max_examples=40, deadline=None)
 def test_diameter_matches_the_line_enumeration_on_lattice_multigraphs(edge_list):
     assert_every_pair_matches_the_reference(build(edge_list))
+
+
+def test_cycle_sort_key_sorts_its_edge_ids_once(monkeypatch):
+    """Work-count guard: the bar order reads each cycle's sort key twice
+    per bar, and only the first read sorts."""
+    found = cycles_of(generate_graph("heawood").whole())[0]
+    cycle = graph_mod.Cycle(found.steps, found.edge_ids, found.length)  # no key read yet
+    sorts = mock.Mock(wraps=sorted)
+    monkeypatch.setattr(graph_mod, "sorted", sorts, raising=False)
+    first = cycle.sort_key()
+    assert cycle.sort_key() is first
+    assert sorts.call_count == 1
+    assert first == (len(cycle.steps), tuple(sorted(cycle.edge_ids)))

@@ -18,10 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commensura._rat import Rat
-from commensura.chords import chords_of_loop, chords_of_subgraph, loop_from_cycle, bar_loop
+from commensura.chords import chords_of_loop, cross_chords, loop_from_cycle, bar_loop
 from commensura.dehn import CommensurableVerdict, dehn_test, verify_measure_tiling
 from commensura.errors import EnumerationCapExceeded, InternalInconsistency, PrecisionExhausted
-from commensura.graph import DEFAULT_CYCLE_CAP, bars_of, cycles_of
+from commensura.graph import DEFAULT_CYCLE_CAP, bars_of, cycles_of, disjoint_pairs, parse_graph
 from commensura.scalars import Scalar, SymbolTable, commensurable, format_area
 import commensura.tilings as tilings_mod
 from commensura.tilings import (
@@ -240,16 +240,38 @@ def k44_product():
     g = k44()
     (c1,) = cycles_of(g.subgraph("c1"))
     (c2,) = cycles_of(g.subgraph("c2"))
-    chords = chords_of_subgraph(g, g.subgraph("both"))
+    chords = cross_chords(loop_from_cycle(g, c1), loop_from_cycle(g, c2))
     return g, product_tiling(g, c1, c2, chords)
 
 
 def test_k44_product_tiles_exactly():
     g, t = k44_product()
-    assert len(t.pieces) == 8  # one orientation per cross pair survives
+    assert len(t.pieces) == 8  # one square per cross vertex pair
     rep = verify_tiling(t)
     assert rep.ok
     assert rep.region_area == g.table.pi(2) * g.table.pi(2)
+
+
+def test_product_squares_sit_at_the_cycle_positions():
+    # the split K4,4 with a declared first: every cycle through a starts
+    # there, so positions on it carry the mixed-basis edge lengths
+    from test_engine import _mixed_k44
+
+    g = parse_graph(_mixed_k44())
+    for c1, c2 in disjoint_pairs(cycles_of(g.whole())):
+        walked = []
+        for cycle in (c1, c2):
+            pos, at = g.table.zero(), {}
+            for e, end in cycle.steps:
+                at[e.u if end == 0 else e.v] = pos
+                pos = pos + e.length
+            walked.append(at)
+        chords = cross_chords(loop_from_cycle(g, c1), loop_from_cycle(g, c2))
+        t = product_tiling(g, c1, c2, chords)
+        assert [p.label for p in t.pieces] == [f"chord{k}" for k in range(len(chords))]
+        for p, ch in zip(t.pieces, chords):
+            assert p.center == (walked[0][ch.s.vertex], walked[1][ch.t.vertex])
+            assert p.halves == (ch.z, ch.z)
 
 
 def test_product_requires_disjoint_cycles():
