@@ -13,7 +13,9 @@ runs on the same input are byte-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -184,76 +186,106 @@ def _find_cycle(graph: MetricGraph, spec: str, cap: int):
     raise UsageError(f"edges {spec} do not form one embedded cycle")
 
 
-def _machine_text(payload: dict) -> str:
+# the machine writer hands a chunk to stdout once it holds this many pieces
+# (brackets, indents, keys and leaves): a few tens of KB of report text
+_CHUNK_PIECES = 8192
+
+# a leaf's text, looked up by its exact type; a subclass of str or int takes
+# the isinstance path in _machine_chunks
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _machine_chunks(payload: dict) -> Iterator[str]:
     """The machine report: the text ``json.dumps(payload, sort_keys=True,
-    indent=2)`` writes, plus a final newline, built in one recursive pass
-    into one list.  Strings take json's default ASCII escapes; the payload
-    holds only str-keyed dicts, lists, tuples, str, int, bool and None, and
-    any other value or key is a TypeError."""
+    indent=2)`` writes, plus a final newline, yielded in chunks of about
+    _CHUNK_PIECES pieces each.  Strings take json's default ASCII escapes;
+    the payload holds only str-keyed dicts, lists, tuples, str, int, bool
+    and None, and any other value or key is a TypeError.  An array may also
+    be a one-shot iterator, written as a list and consumed as it is
+    written, so a caller can hand over one record at a time."""
     out: list[str] = []
     put = out.append
-    # depth -> (newline and indent of its items, separator between them,
-    # newline and indent of the closing bracket), shared by every container
-    layouts: list[tuple[str, str, str]] = []
+    leaf_text = _LEAF_TEXT.get
+    # key -> its encoded form and the ": " after it, built once per key
+    keys: dict[str, str] = {}
+    # depth -> (newline and indent of its first item, separator between
+    # items, closing newline and bracket of a list, and of a dict)
+    layouts: list[tuple[str, str, str, str]] = []
 
-    def layout(depth: int) -> tuple[str, str, str]:
+    def layout(depth: int) -> tuple[str, str, str, str]:
         while len(layouts) <= depth:
             inner = "\n" + "  " * (len(layouts) + 1)
-            layouts.append((inner, "," + inner, inner[:-2]))
+            layouts.append((inner, "," + inner, inner[:-2] + "]", inner[:-2] + "}"))
         return layouts[depth]
 
-    def write(value, depth: int) -> None:
-        if isinstance(value, str):
-            put(encode_basestring_ascii(value))
-        elif isinstance(value, dict):
-            if not value:
-                put("{}")
-                return
-            lead, sep, close = layout(depth)
+    def flush() -> str:
+        chunk = "".join(out)
+        out.clear()
+        return chunk
+
+    def write(value, depth: int) -> Iterator[str]:
+        if isinstance(value, dict):
+            lead, sep, _, close = layout(depth)
             put("{")
             for key in sorted(value):
-                if not isinstance(key, str):
-                    raise TypeError(f"machine report keys must be str, got {type(key).__name__}")
+                text = keys.get(key)
+                if text is None:
+                    if not isinstance(key, str):
+                        raise TypeError(
+                            f"machine report keys must be str, got {type(key).__name__}"
+                        )
+                    text = keys[key] = encode_basestring_ascii(key) + ": "
                 put(lead)
-                put(encode_basestring_ascii(key))
-                put(": ")
-                write(value[key], depth + 1)
+                put(text)
+                item = value[key]
+                leaf = leaf_text(type(item))
+                if leaf is None:
+                    yield from write(item, depth + 1)
+                else:
+                    put(leaf(item))
+                if len(out) >= _CHUNK_PIECES:
+                    yield flush()
                 lead = sep
-            put(close)
-            put("}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                put("[]")
-                return
-            lead, sep, close = layout(depth)
+            # lead turns into sep at the first item, so an empty dict is {}
+            put(close if lead is sep else "}")
+        elif isinstance(value, (list, tuple, Iterator)):
+            lead, sep, close, _ = layout(depth)
             put("[")
             for item in value:
                 put(lead)
-                write(item, depth + 1)
+                leaf = leaf_text(type(item))
+                if leaf is None:
+                    yield from write(item, depth + 1)
+                else:
+                    put(leaf(item))
+                if len(out) >= _CHUNK_PIECES:
+                    yield flush()
                 lead = sep
-            put(close)
-            put("]")
-        elif value is None:
-            put("null")
-        elif value is True:
-            put("true")
-        elif value is False:
-            put("false")
+            put(close if lead is sep else "]")
+        elif isinstance(value, str):
+            put(encode_basestring_ascii(value))
         elif isinstance(value, int):
             put(int.__repr__(value))
         else:
             raise TypeError(f"cannot write {type(value).__name__} in a machine report")
 
-    write(payload, 0)
+    yield from write(payload, 0)
     put("\n")
-    return "".join(out)
+    yield flush()
 
 
 def _emit(args, payload: dict, human) -> None:
     """Write payload in machine format, else the text human() returns;
     human is called only when that text is written."""
     if args.format == "machine":
-        sys.stdout.write(_machine_text(payload))
+        write = sys.stdout.write
+        for chunk in _machine_chunks(payload):
+            write(chunk)
     else:
         text = human()
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -378,7 +410,9 @@ def _cmd_analyze(args) -> int:
     graph = _load_graph(args)
     sub, name = _pick_subgraph(graph, args.subgraph)
     result = analyze(graph, sub, subgraph_name=name, cycle_cap=args.cycle_cap)
-    report = result.as_report()
+    # the machine writer takes each record list as an iterator, so only one
+    # record's dict exists at a time
+    report = result.as_report(records=iter if args.format == "machine" else list)
     _emit(args, report, lambda: _human_analysis(report))
     tilings = [(f"cycle[{i}]", c.tiling) for i, c in enumerate(result.cycles)]
     tilings += [(f"pair[{i}].product", p.product) for i, p in enumerate(result.pairs)]
@@ -572,7 +606,19 @@ def main(argv=None) -> int:
             raise UsageError("--cycle-cap must not be negative")
         if args.export_plot is not None and args.command not in ("tile", "analyze"):
             raise UsageError("--export-plot only applies to tile and analyze")
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # a write the reader refuses fails here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout, so the report was not delivered; point
+        # stdout at devnull so the interpreter's last flush of what is still
+        # buffered cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -633,7 +633,10 @@ class Analysis:
     segments: tuple
     cycle_cap: int
 
-    def as_report(self) -> dict:
+    def as_report(self, records=list) -> dict:
+        """The analysis report.  Each record array is ``records`` applied to
+        a generator of record dicts: a list by default, while the CLI's
+        machine writer passes ``iter`` and holds one record at a time."""
         return {
             "kind": "analysis",
             "subgraph": self.subgraph_name,
@@ -649,10 +652,10 @@ class Analysis:
                 "segments": len(self.segments),
                 "complete": self.failure is None,
             },
-            "cycles": [c.as_report() for c in self.cycles],
-            "pairs": [p.as_report() for p in self.pairs],
-            "bars": [b.as_report() for b in self.bars],
-            "segments": [s.as_report() for s in self.segments],
+            "cycles": records(c.as_report() for c in self.cycles),
+            "pairs": records(p.as_report() for p in self.pairs),
+            "bars": records(b.as_report() for b in self.bars),
+            "segments": records(s.as_report() for s in self.segments),
         }
 
 

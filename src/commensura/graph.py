@@ -220,14 +220,6 @@ class PointOnGraph:
             offset = edge.length - offset
         return PointOnGraph(edge_id, offset)
 
-    def as_vertex(self, graph: MetricGraph) -> Optional[str]:
-        edge = graph.edge_by_id[self.edge_id]
-        if self.offset.is_zero():
-            return edge.u
-        if self.offset == edge.length:
-            return edge.v
-        return None
-
 
 # ---------------------------------------------------------------------------
 # shortest paths

@@ -1,16 +1,20 @@
 """End-to-end runs of the command line interface, one process, no shell."""
 
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commensura import cli
-from commensura.cli import main
+from commensura.cli import _machine_chunks, main
+from commensura.engine import analyze
 from commensura.generators import generate
+from commensura.graph import parse_graph
 
 HEX1 = "e0,e1,e10,e11,e6,e7"
 HEX2 = "e13,e14,e15,e17,e3,e5"
@@ -57,18 +61,22 @@ def _json_text(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _machine_text(payload):
+    return "".join(_machine_chunks(payload))
+
+
 @pytest.fixture(autouse=True)
 def machine_reports_match_json(monkeypatch):
     """Every machine report a test here prints must be the text json.dumps
-    writes with sorted keys and a two-space indent."""
-    encode = cli._machine_text
+    writes with sorted keys and a two-space indent.  The payload's arrays
+    may be one-shot iterators, so the check re-encodes the parsed text."""
 
     def checked(payload):
-        text = encode(payload)
-        assert text == _json_text(payload)
-        return text
+        text = _machine_text(payload)
+        assert text == _json_text(json.loads(text))
+        return [text]
 
-    monkeypatch.setattr(cli, "_machine_text", checked)
+    monkeypatch.setattr(cli, "_machine_chunks", checked)
 
 
 def run(capsys, *argv):
@@ -781,22 +789,99 @@ _json_payloads = st.recursive(
 )
 
 
+def _iterated(value):
+    """value with every list replaced by a one-shot iterator over it."""
+    if isinstance(value, dict):
+        return {k: _iterated(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return iter([_iterated(v) for v in value])
+    if isinstance(value, tuple):
+        return tuple(_iterated(v) for v in value)
+    return value
+
+
 @given(st.dictionaries(_json_strings, _json_payloads, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_machine_text_matches_json(payload):
-    assert cli._machine_text(payload) == _json_text(payload)
+    assert _machine_text(payload) == _json_text(payload)
+    assert _machine_text(_iterated(payload)) == _json_text(payload)
 
 
 def test_machine_text_of_empty_and_mixed_containers():
     payload = {"a": {}, "b": [], "c": [True, 1, False, 0, None], "d": [{}, [[]], {"x": ()}], "\u00e9": 10**40}
-    assert cli._machine_text(payload) == _json_text(payload)
+    assert _machine_text(payload) == _json_text(payload)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda wrap: {"x": wrap([])},
+        lambda wrap: {"x": wrap([{"k": 1}])},
+        lambda wrap: {"x": wrap(range(50)), "y": wrap(["a", None, True])},
+        lambda wrap: {"x": wrap([wrap([]), wrap([wrap([1, 2])]), {"y": wrap([{}])}])},
+        lambda wrap: {"x": wrap({"i": i, "s": [str(i)] * (i % 3)} for i in range(400))},
+    ],
+    ids=["empty", "one", "many", "nested", "records"],
+)
+def test_machine_text_writes_an_iterator_as_its_list(make):
+    assert _machine_text(make(iter)) == _json_text(make(list))
+
+
+def test_machine_chunks_stay_bounded_on_a_long_iterator():
+    rows = 5 * cli._CHUNK_PIECES
+    payload = {"rows": ({"n": n} for n in range(rows))}
+    chunks = list(_machine_chunks(payload))
+    assert "".join(chunks) == _json_text({"rows": [{"n": n} for n in range(rows)]})
+    assert len(chunks) >= 5
+    # every piece here (an indent, a key, a bracket or an int) is at most
+    # 10 characters long
+    assert max(map(len, chunks)) <= 10 * (cli._CHUNK_PIECES + 8)
 
 
 @pytest.mark.parametrize(
     "payload",
-    [{"x": 0.5}, {"x": [1, 2.0]}, {1: "a"}, {"x": {None: 1}}, {"x": {1, 2}}],
-    ids=["float", "nested-float", "int-key", "none-key", "set"],
+    [
+        {"x": 0.5}, {"x": [1, 2.0]}, {1: "a"}, {"x": {None: 1}}, {"x": {1, 2}},
+        {"x": iter([1, 0.5])}, {"x": iter([{2: "a"}])},
+    ],
+    ids=["float", "nested-float", "int-key", "none-key", "set", "iterated-float", "iterated-int-key"],
 )
 def test_machine_text_refuses_what_json_would_change(payload):
     with pytest.raises(TypeError):
-        cli._machine_text(payload)
+        _machine_text(payload)
+
+
+def test_machine_report_streams_in_bounded_memory():
+    """Writing the Heawood analysis report takes under 1 MB beyond the
+    finished analysis: one chunk and one record at a time, where the
+    report's text alone is 1.68 MB."""
+    graph = parse_graph(generate("heawood"))
+    result = analyze(graph, graph.whole(), subgraph_name="whole")
+    size = 0
+    tracemalloc.start()
+    try:
+        for chunk in _machine_chunks(result.as_report(records=iter)):
+            size += len(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 1_678_154
+    assert peak < 1_000_000
+
+
+def test_closed_pipe_exits_1_without_a_shutdown_error(heawood_path):
+    """A reader that stops early leaves the report undelivered: exit 1 and
+    one error line, with no exception reported at interpreter exit."""
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "commensura", "--format", "machine", "analyze", heawood_path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        # the report is far larger than a pipe's buffer, so the writer is
+        # still writing when the reader goes
+        assert proc.stdout.read(20) == b'{\n  "audit": {\n    "'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err == "error: [Errno 32] Broken pipe\n"

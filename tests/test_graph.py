@@ -1061,13 +1061,11 @@ def test_rescaling_scales_distances_and_girth(edge_list, num):
 # ---------------------------------------------------------------------------
 
 
-def test_point_normalization_and_vertex_detection():
+def test_point_normalization():
     g = build([("e", "a", "b", {0: 4})])
     p = PointOnGraph.make(g, "e", g.table.rational(1), forward=False)
     assert p.offset == g.table.rational(3)
-    assert PointOnGraph.make(g, "e", g.table.zero()).as_vertex(g) == "a"
-    assert PointOnGraph.make(g, "e", g.table.rational(4)).as_vertex(g) == "b"
-    assert PointOnGraph.make(g, "e", g.table.rational(2)).as_vertex(g) is None
+    assert PointOnGraph.make(g, "e", g.table.rational(1)).offset == g.table.rational(1)
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,9 @@ def test_functools_cache_rule_sees_one():
     assert _functools_caches(tree) == [2, 3, 6]
 
 
-# ``cli._machine_text`` is the one machine encoder: a json.dumps elsewhere in
-# the package would be a second writer whose bytes could drift from it.
+# ``cli._machine_chunks`` is the one machine encoder, a streaming writer: a
+# json.dumps elsewhere in the package would be a second writer whose bytes
+# could drift from it.
 def _json_dumps_uses(tree: ast.Module) -> list:
     """Lines that import json.dumps or name ``json.dumps``."""
     out = []
